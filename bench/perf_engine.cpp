@@ -7,9 +7,11 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <thread>
 
+#include "engine_detail.hpp"
 #include "ppd/cache/solve_cache.hpp"
 #include "ppd/core/coverage.hpp"
 #include "ppd/core/measure.hpp"
@@ -93,22 +95,20 @@ void run_thread_scaling() {
 }
 
 // ---------------------------------------------------------------------------
-// Batched-MC-kernel section: one long faulty path, the same MC coverage
-// population measured by the scalar per-sample transient and by the
-// factor-once/solve-many spice::BatchTransient, at equal thread count (1) so
-// the row isolates the kernel itself from thread scaling and cache reuse.
-// Fixed step + backward Euler: the regime where the batch advances every
-// sample in lock-step and the fixed-step bit-identity contract applies
-// (`identical` compares the full coverage populations). The long chain
-// (100 gates, n = 204 unknowns, sparse solver) is what makes the scalar
-// from-scratch assemble + symbolic-and-numeric LU expensive; the batch path
-// replaces it with selective restamping and in-place refactorization.
-// Measured on the reference 1-core container: ~4-4.5x. The floor in
-// bench/baseline/perf_engine.json sits at 3.0x; see README "Batched MC
-// kernel" for the cost decomposition and why the workload pins threads=1.
+// Frozen-engine section: one long faulty path, the same MC coverage
+// population measured by the frozen transient engine (run_transient's only
+// path) and by the unfrozen from-scratch oracle (spice::detail::
+// UnfrozenOracle), at equal thread count (1) so the row isolates the engine
+// from thread scaling and cache reuse. `identical` compares the full
+// coverage populations. The long chain (100 gates, n = 204 unknowns, sparse
+// solver) is what makes the oracle's per-iteration triplet rebuild and
+// symbolic-and-numeric LU expensive; the frozen engine replaces them with
+// selective restamping, in-place refactorization and the bit-safe MOSFET
+// bypass. The floor in bench/baseline/perf_engine.json sits at 3.0x; see
+// README "Frozen transient engine" for the cost decomposition.
 // ---------------------------------------------------------------------------
 
-void run_mc_batch_section() {
+void run_frozen_engine_section() {
   constexpr int kGates = 100;
   core::PathFactory factory;
   factory.options.kinds.assign(kGates, cells::GateKind::kInv);
@@ -133,10 +133,11 @@ void run_mc_batch_section() {
   copt.sim.integrator = spice::Integrator::kBackwardEuler;
   copt.sim.t_tail = 9.5e-9;
 
-  const auto timed = [&](bool batch) {
-    copt.batch = batch;
+  const auto timed = [&](bool oracle) {
+    std::optional<spice::detail::UnfrozenOracle> unfrozen;
+    if (oracle) unfrozen.emplace();
     // Fresh cache per pass: a warm solve cache would let the second pass
-    // replay the first and the row would measure memoization, not the kernel.
+    // replay the first and the row would measure memoization, not the engine.
     cache::SolveCache::global().clear();
     const auto start = std::chrono::steady_clock::now();
     core::CoverageResult res = run_delay_coverage(factory, cal, copt);
@@ -148,22 +149,23 @@ void run_mc_batch_section() {
 
   auto& steps = obs::counter("spice.transient.steps");
   const std::uint64_t steps0 = steps.value();
-  const auto [scalar_wall, scalar] = timed(false);
-  const std::uint64_t steps_scalar = steps.value() - steps0;
-  const auto [batch_wall, batch] = timed(true);
-  const std::uint64_t steps_batch = steps.value() - steps0 - steps_scalar;
+  const auto [oracle_wall, oracle] = timed(true);
+  const std::uint64_t steps_oracle = steps.value() - steps0;
+  const auto [frozen_wall, frozen] = timed(false);
+  const std::uint64_t steps_frozen = steps.value() - steps0 - steps_oracle;
 
-  const bool identical = scalar.coverage == batch.coverage &&
-                         scalar.simulations == batch.simulations;
+  const bool identical = oracle.coverage == frozen.coverage &&
+                         oracle.simulations == frozen.simulations &&
+                         steps_oracle == steps_frozen;
   std::printf(
-      "{\"section\":\"mc_batch\",\"workload\":\"delay_coverage_fixed_step\","
+      "{\"section\":\"frozen_engine\",\"workload\":\"delay_coverage_fixed_step\","
       "\"gates\":%d,\"samples\":%d,\"resistances\":%zu,\"threads\":%d,"
-      "\"scalar_wall_s\":%.4f,\"batch_wall_s\":%.4f,"
-      "\"scalar_steps\":%llu,\"batch_steps\":%llu,"
+      "\"oracle_wall_s\":%.4f,\"frozen_wall_s\":%.4f,"
+      "\"oracle_steps\":%llu,\"frozen_steps\":%llu,"
       "\"speedup\":%.3f,\"identical\":%s}\n",
-      kGates, copt.samples, copt.resistances.size(), copt.threads, scalar_wall,
-      batch_wall, static_cast<unsigned long long>(steps_scalar),
-      static_cast<unsigned long long>(steps_batch), scalar_wall / batch_wall,
+      kGates, copt.samples, copt.resistances.size(), copt.threads, oracle_wall,
+      frozen_wall, static_cast<unsigned long long>(steps_oracle),
+      static_cast<unsigned long long>(steps_frozen), oracle_wall / frozen_wall,
       identical ? "true" : "false");
 }
 
@@ -432,7 +434,7 @@ int main(int argc, char** argv) {
   ppd::obs::ScopedRun run(ppd::obs::extract_run_options(argc, argv));
   run.set_meta(2007, 0);
   run_thread_scaling();
-  run_mc_batch_section();
+  run_frozen_engine_section();
   run_solve_cache_section();
   run_path_screen_section();
   benchmark::Initialize(&argc, argv);

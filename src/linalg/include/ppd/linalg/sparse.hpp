@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace ppd::linalg {
@@ -106,15 +107,20 @@ class SparseLu {
  private:
   std::size_t n_ = 0;
   // L: unit diagonal not stored; U: diagonal stored last in each column.
-  std::vector<std::size_t> l_ptr_, l_idx_;
+  // Row indices are 32-bit (factor() checks the order): a frozen MNA keeps
+  // its factorization for a whole transient.
+  std::vector<std::size_t> l_ptr_;
+  std::vector<std::uint32_t> l_idx_;
   std::vector<double> l_val_;
-  std::vector<std::size_t> u_ptr_, u_idx_;
+  std::vector<std::size_t> u_ptr_;
+  std::vector<std::uint32_t> u_idx_;
   std::vector<double> u_val_;
   std::vector<std::size_t> pinv_;  // original row -> pivot position
   // Frozen structure for refactor(): per-column x-pattern in the traversal
   // order factor() used (updates run over it back-to-front), plus the
   // matrix nonzero count it was recorded against.
-  std::vector<std::size_t> pat_ptr_, pat_rows_;
+  std::vector<std::size_t> pat_ptr_;
+  std::vector<std::uint32_t> pat_rows_;
   std::size_t a_nnz_ = 0;
   std::vector<double> x_work_;  // refactor scratch (original-row indexed)
 };

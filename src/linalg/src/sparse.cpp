@@ -88,6 +88,8 @@ SparseLu::SparseLu(const SparseMatrix& a, double pivot_tol) {
 
 void SparseLu::factor(const SparseMatrix& a, double pivot_tol) {
   PPD_REQUIRE(a.rows() == a.cols(), "LU needs a square matrix");
+  PPD_REQUIRE(a.rows() < std::numeric_limits<std::uint32_t>::max(),
+              "SparseLu: matrix too large for 32-bit indices");
   n_ = a.rows();
   a_nnz_ = a.nonzeros();
   pinv_.assign(n_, kNone);
@@ -180,17 +182,18 @@ void SparseLu::factor(const SparseMatrix& a, double pivot_tol) {
     // U column j: entries at pivot positions < j, plus the pivot itself.
     for (std::size_t r : pattern) {
       if (pinv_[r] != kNone && pinv_[r] < j && x[r] != 0.0) {
-        u_idx_.push_back(pinv_[r]);
+        u_idx_.push_back(static_cast<std::uint32_t>(pinv_[r]));
         u_val_.push_back(x[r]);
       }
     }
-    u_idx_.push_back(j);
+    u_idx_.push_back(static_cast<std::uint32_t>(j));
     u_val_.push_back(pivot);
     u_ptr_[j + 1] = u_idx_.size();
 
     for (std::size_t r : pattern) {
       if (pinv_[r] == kNone && x[r] != 0.0) {
-        l_idx_.push_back(r);  // original row index; remapped on solve
+        // Original row index; remapped on solve.
+        l_idx_.push_back(static_cast<std::uint32_t>(r));
         l_val_.push_back(x[r] / pivot);
       }
       mark[r] = 0;
@@ -199,7 +202,8 @@ void SparseLu::factor(const SparseMatrix& a, double pivot_tol) {
     l_ptr_[j + 1] = l_idx_.size();
 
     // Freeze this column's traversal order for refactor().
-    pat_rows_.insert(pat_rows_.end(), pattern.begin(), pattern.end());
+    for (std::size_t r : pattern)
+      pat_rows_.push_back(static_cast<std::uint32_t>(r));
     pat_ptr_[j + 1] = pat_rows_.size();
   }
 }

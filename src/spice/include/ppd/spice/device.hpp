@@ -24,14 +24,11 @@ constexpr NodeId kGround = 0;
 enum class AnalysisMode { kOperatingPoint, kTransient };
 enum class Integrator { kBackwardEuler, kTrapezoidal };
 
-/// Quiescent-device bypass policy and counters, threaded through
-/// StampContext by the batch transient kernel. `tol == 0` (the default)
-/// reuses a cached model evaluation only when the terminal voltages are
-/// bitwise unchanged since it was computed — always bit-safe; `tol > 0`
-/// trades bit-identity for more skipped evaluations (classic SPICE bypass,
-/// opt-in).
+/// Quiescent-MOSFET bypass counters, threaded through StampContext by
+/// run_transient(). A MOSFET reuses its cached model evaluation only while
+/// its terminal voltages equal the ones it was computed at, so a bypassed
+/// stamp is identical to an evaluated one (bit-safe).
 struct MosBypass {
-  double tol = 0.0;
   std::uint64_t hits = 0;   ///< stamps served from the cached evaluation
   std::uint64_t evals = 0;  ///< stamps that re-evaluated the model
 };
@@ -46,7 +43,7 @@ struct StampContext {
   double gmin = 1e-9;
   double source_scale = 1.0;  ///< source-stepping homotopy factor
   const std::vector<double>* x = nullptr;  ///< current iterate (may be null in OP start)
-  MosBypass* bypass = nullptr;  ///< null = no bypass (scalar path)
+  MosBypass* bypass = nullptr;  ///< null = no bypass (OP, unfrozen oracle)
   /// True during a frozen partial re-assembly (engine_detail.hpp): the MNA
   /// slots still hold this device's last-stamped values, so a device whose
   /// stamp inputs are BITWISE unchanged since that stamp may return without

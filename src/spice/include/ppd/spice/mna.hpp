@@ -100,12 +100,15 @@ class MnaSystem {
 
   /// Frozen-mode solve disposition counters (all zero in default mode):
   /// how many solve_into() calls refactorized, rebuilt only the rhs against
-  /// the previous factorization, or returned the cached solution outright.
-  /// The batch kernel's settle-tail claim is observable here.
+  /// the previous factorization, or returned the cached solution outright,
+  /// and how many sparse refactorizations found their frozen pivot order
+  /// stale and fell back to a full factor. run_transient() exports them as
+  /// the spice.solve.* and spice.lu.refactor_fallbacks counters.
   struct SolveStats {
     std::uint64_t refactored = 0;
     std::uint64_t rhs_only = 0;
     std::uint64_t cached = 0;
+    std::uint64_t refactor_fallbacks = 0;
   };
   [[nodiscard]] const SolveStats& solve_stats() const { return stats_; }
 
@@ -116,8 +119,9 @@ class MnaSystem {
   /// triplets, replicating SparseMatrix's duplicate-accumulation order so
   /// scattered values match a rebuilt matrix bitwise.
   void learn_sparse_structure();
-  /// Build the dense scatter program: slot k is the column-major offset of
-  /// triplet k, replayed in add order (the order direct += accumulated in).
+  /// Build the dense scatter program: dense_slot_[k] is the column-major
+  /// offset of triplet k, replayed in add order (the order direct +=
+  /// accumulated in).
   void learn_dense_structure();
   /// Group the learned rhs add sequence by row (add order preserved within
   /// each row) so dirty rows can be re-accumulated individually.
@@ -128,7 +132,10 @@ class MnaSystem {
   linalg::DenseMatrix dense_;
   // Sparse stamping accumulates triplets per solve; in frozen mode both
   // backends record triplets (dense included) so values can be replayed.
-  std::vector<std::size_t> trip_row_, trip_col_;
+  // A frozen system holds its learned maps for a whole transient, so every
+  // index array is 32-bit (the constructor and the learning pass check the
+  // bounds).
+  std::vector<std::uint32_t> trip_row_, trip_col_;
   std::vector<double> trip_val_;
   std::vector<double> rhs_;
 
@@ -147,11 +154,10 @@ class MnaSystem {
   std::vector<double> cached_x_;
   std::size_t trip_cursor_ = 0;            // replay position during assembles
   std::size_t rhs_cursor_ = 0;
-  std::vector<std::size_t> rhs_row_;       // learned rhs add sequence
+  std::vector<std::uint32_t> rhs_row_;     // learned rhs add sequence
   std::vector<double> rhs_val_;
   std::unique_ptr<linalg::SparseMatrix> a_;  // frozen CSC, values rewritten
-  std::vector<std::size_t> scatter_src_;   // triplet index, accumulation order
-  std::vector<std::size_t> scatter_slot_;  // matching CSC / dense value slot
+  std::vector<std::uint32_t> dense_slot_;  // triplet -> dense value slot
   // Incremental scatter: rebuilding the whole CSC image per solve costs
   // O(triplets) even when one device restamped. The inverse maps below let
   // add() mark exactly the value slots / rhs rows its bit changes touch, and
@@ -159,13 +165,13 @@ class MnaSystem {
   // sums stay bitwise full-rebuild sums). Matrix-side maps are sparse-only:
   // the dense in-place factorization consumes the matrix image, so dense
   // rebuilds are always full. rhs maps serve both backends.
-  std::vector<std::size_t> trip_slot_;     // triplet index -> its CSC slot
-  std::vector<std::size_t> slot_ptr_, slot_src_;  // slot -> triplets, in order
+  std::vector<std::uint32_t> trip_slot_;   // triplet index -> its CSC slot
+  std::vector<std::uint32_t> slot_ptr_, slot_src_;  // slot -> triplets, in order
   std::vector<char> slot_dirty_;
-  std::vector<std::size_t> dirty_slots_;
-  std::vector<std::size_t> rhs_ptr_, rhs_src_;    // row -> rhs adds, in order
+  std::vector<std::uint32_t> dirty_slots_;
+  std::vector<std::uint32_t> rhs_ptr_, rhs_src_;    // row -> rhs adds, in order
   std::vector<char> rhs_row_dirty_;
-  std::vector<std::size_t> dirty_rhs_rows_;
+  std::vector<std::uint32_t> dirty_rhs_rows_;
   linalg::SparseLu slu_;
   linalg::DenseLuWorkspace dlw_;
   SolveStats stats_;

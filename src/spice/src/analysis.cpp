@@ -1,6 +1,7 @@
 #include "ppd/spice/analysis.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -146,10 +147,16 @@ using detail::NewtonWorkspace;
 /// (2-5 iterations) resolved.
 void record_newton(const NewtonOutcome& out) {
   if (!obs::metrics_enabled()) return;
-  obs::counter("spice.newton.solves").add();
-  if (!out.converged) obs::counter("spice.newton.nonconverged").add();
-  obs::histogram("spice.newton.iterations", {1.0, 256.0, 24})
-      .record(static_cast<double>(out.iterations));
+  static obs::Counter& solves = obs::counter("spice.newton.solves");
+  static obs::Histogram& iterations =
+      obs::histogram("spice.newton.iterations", {1.0, 256.0, 24});
+  solves.add();
+  if (!out.converged) {
+    static obs::Counter& nonconverged =
+        obs::counter("spice.newton.nonconverged");
+    nonconverged.add();
+  }
+  iterations.record(static_cast<double>(out.iterations));
 }
 
 NewtonOutcome newton_solve_impl(Circuit& circuit, MnaSystem& mna,
@@ -340,7 +347,8 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
                               const resil::Deadline& deadline) {
   const obs::Span span("spice.run_op");
   const auto op_start = std::chrono::steady_clock::now();
-  obs::counter("spice.op.solves").add();
+  static obs::Counter& op_solves = obs::counter("spice.op.solves");
+  op_solves.add();
   // Reject structurally broken circuits (ground islands, vsource loops,
   // device-free nodes) with actionable diagnostics instead of letting the
   // factorization die on a singular matrix mid-sweep.
@@ -571,7 +579,7 @@ TransientStepper::Outcome TransientStepper::step() {
   // Entering a step only the time-varying stamps can differ from the slots'
   // recorded values (static stamps are constant across the whole transient),
   // so a learned plan assembles kStepRefresh here and kIterateRefresh inside
-  // the Newton loop. Unfrozen MnaSystems (the scalar path) ignore the plan.
+  // the Newton loop. An unfrozen MnaSystem (the oracle) ignores the plan.
   const NewtonOutcome outcome =
       newton_solve(circuit_, mna_, ctx, options_.newton, x_try_, deadline_,
                    ws_, &plan_, AssemblePhase::kStepRefresh);
@@ -650,7 +658,45 @@ TransientStepper::Outcome TransientStepper::step() {
   return Outcome::kAccepted;
 }
 
+namespace {
+
+std::atomic<int> g_unfrozen_oracles{0};
+
+}  // namespace
+
+UnfrozenOracle::UnfrozenOracle() {
+  g_unfrozen_oracles.fetch_add(1, std::memory_order_relaxed);
+}
+
+UnfrozenOracle::~UnfrozenOracle() {
+  g_unfrozen_oracles.fetch_sub(1, std::memory_order_relaxed);
+}
+
 }  // namespace detail
+
+namespace {
+
+/// Export one transient's solver-shortcut tallies: how often the bit-safe
+/// MOSFET bypass reused an evaluation, how each frozen solve was answered
+/// (refactored, rhs-only, cached), and how often a sparse refactor found
+/// its frozen pivot order stale.
+void record_shortcuts(const MosBypass& bypass, const MnaSystem& mna) {
+  static obs::Counter& hits = obs::counter("spice.bypass.hits");
+  static obs::Counter& evals = obs::counter("spice.bypass.evals");
+  static obs::Counter& refactored = obs::counter("spice.solve.refactored");
+  static obs::Counter& rhs_only = obs::counter("spice.solve.rhs_only");
+  static obs::Counter& cached = obs::counter("spice.solve.cached");
+  static obs::Counter& fallbacks = obs::counter("spice.lu.refactor_fallbacks");
+  const MnaSystem::SolveStats& st = mna.solve_stats();
+  hits.add(bypass.hits);
+  evals.add(bypass.evals);
+  refactored.add(st.refactored);
+  rhs_only.add(st.rhs_only);
+  cached.add(st.cached);
+  fallbacks.add(st.refactor_fallbacks);
+}
+
+}  // namespace
 
 double OpResult::voltage(NodeId n) const {
   if (n == kGround) return 0.0;
@@ -700,6 +746,17 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options)
   const bool use_sparse =
       options.sparse_threshold == 0 || n > options.sparse_threshold;
   MnaSystem mna(n, use_sparse);
+  // The frozen engine: the first transient assemble learns the stamping
+  // structure, the CSC slot map and the LU elimination order; every later
+  // Newton iteration restamps only the devices whose inputs moved, refactors
+  // in place into a reused buffer and lets quiescent MOSFETs keep their
+  // stamps (bit-safe bypass, tol = 0). Results are bitwise those of the
+  // unfrozen from-scratch path, which survives only as a test oracle.
+  const bool frozen =
+      detail::g_unfrozen_oracles.load(std::memory_order_relaxed) == 0;
+  detail::NewtonWorkspace ws;
+  MosBypass bypass;
+  if (frozen) mna.freeze_structure();
 
   for (const auto& dev : circuit.devices()) dev->begin_transient(op.x);
 
@@ -714,8 +771,8 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options)
   record(0.0, op.x);
 
   detail::TransientStepper stepper(circuit, mna, options, options.t_stop,
-                                   deadline, op.x, /*ws=*/nullptr,
-                                   /*bypass=*/nullptr);
+                                   deadline, op.x, frozen ? &ws : nullptr,
+                                   frozen ? &bypass : nullptr);
   for (;;) {
     const auto outcome = stepper.step();
     if (outcome == detail::TransientStepper::Outcome::kFinished) break;
@@ -732,13 +789,19 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options)
   // so the waveform still ends on the nose.
   if (stepper.snapped_without_step()) record(stepper.time(), stepper.x());
   if (obs::metrics_enabled()) {
-    obs::counter("spice.transient.runs").add();
-    obs::counter("spice.transient.steps").add(result.steps);
-    obs::counter("spice.transient.rejected_steps").add(result.rejected_steps);
-    obs::histogram("spice.transient.seconds", {1e-6, 1e4, 50})
-        .record(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              tran_start)
-                    .count());
+    static obs::Counter& runs = obs::counter("spice.transient.runs");
+    static obs::Counter& steps = obs::counter("spice.transient.steps");
+    static obs::Counter& rejected =
+        obs::counter("spice.transient.rejected_steps");
+    static obs::Histogram& seconds =
+        obs::histogram("spice.transient.seconds", {1e-6, 1e4, 50});
+    runs.add();
+    steps.add(result.steps);
+    rejected.add(result.rejected_steps);
+    record_shortcuts(bypass, mna);
+    seconds.record(std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - tran_start)
+                       .count());
   }
   return result;
 }

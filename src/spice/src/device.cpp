@@ -103,7 +103,7 @@ void Capacitor::stamp(MnaSystem& mna, const StampContext& ctx) const {
   // (h, v_state_, i_state_); when all three are bitwise what they were at
   // the last stamp, a replaying assemble would rewrite the exact same
   // numbers — let the slots keep them instead. This is what makes settle-
-  // tail steps cheap in the batched kernel: under backward Euler a settled
+  // tail steps cheap in the frozen engine: under backward Euler a settled
   // node's state freezes bitwise and its capacitors drop out of assembly.
   if (ctx.replay && st_valid_ && bits_equal(ctx.h, st_h_) &&
       bits_equal(v_state_, st_v_) && bits_equal(i_state_, st_i_)) {
@@ -256,33 +256,23 @@ void Mosfet::stamp(MnaSystem& mna, const StampContext& ctx) const {
     vg = volt(*ctx.x, 1);
     vs = volt(*ctx.x, 2);
   }
-  // Quiescent replay skip: during a frozen partial re-assembly with the
-  // bit-safe bypass policy (tol = 0), terminal voltages bitwise equal to the
-  // last stamp's mean the stamp would rewrite exactly the values already in
-  // the slots — skip the writes (and the evaluation) entirely. Requires
-  // tol = 0: with a loose tolerance the written values depend on the cached
-  // linearization point, not just the current voltages.
-  if (ctx.replay && ctx.bypass != nullptr && ctx.bypass->tol == 0.0 &&
-      bp_valid_ && bits_equal(vd, bp_vd_) && bits_equal(vg, bp_vg_) &&
-      bits_equal(vs, bp_vs_)) {
-    ++ctx.bypass->hits;
-    return;
-  }
-  // Quiescent bypass: reuse the cached evaluation (and its linearization
-  // point) when the terminal voltages moved by at most the policy tolerance.
-  // At tol = 0 this requires bitwise equality, so the stamp is identical to
-  // an un-bypassed one.
+  // Quiescent bypass: terminal voltages equal to the cached evaluation's
+  // reuse it (and its linearization point), so the stamp is identical to an
+  // un-bypassed one. During a frozen partial re-assembly, BITWISE-equal
+  // voltages mean the stamp would rewrite exactly the values already in the
+  // slots — skip the writes entirely.
   Eval e{0.0, 0.0, 0.0};
   double lvd = vd, lvg = vg, lvs = vs;  // linearization point actually used
-  if (ctx.bypass != nullptr && bp_valid_ &&
-      std::abs(vd - bp_vd_) <= ctx.bypass->tol &&
-      std::abs(vg - bp_vg_) <= ctx.bypass->tol &&
-      std::abs(vs - bp_vs_) <= ctx.bypass->tol) {
+  if (ctx.bypass != nullptr && bp_valid_ && vd == bp_vd_ && vg == bp_vg_ &&
+      vs == bp_vs_) {
+    ++ctx.bypass->hits;
+    if (ctx.replay && bits_equal(vd, bp_vd_) && bits_equal(vg, bp_vg_) &&
+        bits_equal(vs, bp_vs_))
+      return;
     e = bp_e_;
     lvd = bp_vd_;
     lvg = bp_vg_;
     lvs = bp_vs_;
-    ++ctx.bypass->hits;
   } else {
     e = evaluate(vd, vg, vs);
     if (ctx.bypass != nullptr) {

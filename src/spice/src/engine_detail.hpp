@@ -1,10 +1,13 @@
-// Private engine internals shared by the scalar transient path
-// (analysis.cpp) and the batched MC kernel (batch.cpp). One implementation
-// of assembly, the Newton loop and the per-step state machine serves both,
-// which is what makes the fixed-step batched results bit-identical to the
-// scalar path by construction rather than by careful mirroring.
+// Private internals of the transient engine (analysis.cpp): assembly, the
+// Newton loop and the per-step state machine. run_transient() drives them
+// over a structure-frozen MnaSystem with a reused NewtonWorkspace and the
+// bit-safe MosBypass; the same code over an unfrozen MnaSystem with neither
+// is the from-scratch path, kept only as the oracle the frozen engine is
+// tested and benchmarked against (UnfrozenOracle).
 //
-// Not installed; include only from ppd_spice translation units.
+// Not installed; include only from ppd_spice translation units, the tests
+// and bench_perf_engine (which get this directory as a private include
+// path).
 #pragma once
 
 #include <cstdint>
@@ -35,9 +38,9 @@ struct NewtonWorkspace {
 
 /// Which subset of devices a (frozen, replay-ready) assemble must restamp.
 /// Ignored — every assemble is full — until the plan has been learned and
-/// the MnaSystem replays, so the scalar path never changes behavior.
+/// the MnaSystem replays, so the unfrozen path never changes behavior.
 enum class AssemblePhase {
-  kFull,           ///< stamp everything (learning pass, scalar path, OP)
+  kFull,           ///< stamp everything (learning pass, unfrozen path, OP)
   kStepRefresh,    ///< new time point: time-varying devices only
   kIterateRefresh  ///< same time point, new Newton iterate: nonlinear only
 };
@@ -103,8 +106,7 @@ OpResult run_op_with_deadline(Circuit& circuit, const OpOptions& options,
                               const resil::Deadline& deadline);
 
 /// Size the waveform/name/probe arrays of a TransientResult for `circuit`
-/// and fill `probe_list` with the recorded MNA node ids — shared between the
-/// scalar and batched drivers so their records are structured identically.
+/// and fill `probe_list` with the recorded MNA node ids.
 void init_transient_result(const Circuit& circuit,
                            const std::vector<NodeId>& probe,
                            TransientResult& result,
@@ -113,15 +115,15 @@ void init_transient_result(const Circuit& circuit,
 /// Per-sample transient state machine: one step() call is one attempted
 /// time step (accepted, rejected, or nothing left to do). Owns the step
 /// size, the adaptive controllers (iteration-count and LTE), the end-of-
-/// sweep snapping, and the iterate buffers. Drivers own the circuit, the
-/// MnaSystem, the OP phase, waveform recording, and error handling — the
-/// scalar driver lets exceptions fly, the batch driver quarantines the
-/// sample and keeps the rest of the batch running.
+/// sweep snapping, and the iterate buffers. The driver (run_transient) owns
+/// the circuit, the MnaSystem, the OP phase, waveform recording, and lets
+/// exceptions fly.
 class TransientStepper {
  public:
   enum class Outcome { kAccepted, kRejected, kFinished };
 
-  /// `x_op` is the operating point; `ws`/`bypass` may be null (scalar path).
+  /// `x_op` is the operating point. `ws`/`bypass` are null only on the
+  /// unfrozen oracle path (an unfrozen `mna`, no bypass).
   TransientStepper(Circuit& circuit, MnaSystem& mna,
                    const TransientOptions& options, double t_stop,
                    resil::Deadline deadline, const std::vector<double>& x_op,
@@ -160,6 +162,21 @@ class TransientStepper {
   int last_iterations_ = 0;
   AssemblePlan plan_;  // partial re-assembly windows (frozen MnaSystem only)
   std::vector<double> x_, x_try_, x_prev_;
+};
+
+/// Test and bench oracle. While at least one UnfrozenOracle is alive
+/// (process-wide, any thread), run_transient() takes the unfrozen
+/// from-scratch path: an unfrozen MnaSystem, no workspace, no bypass —
+/// triplets, CSC and a full LU rebuilt on every Newton iteration. Its
+/// results must equal the frozen engine's bit for bit; tests and
+/// bench_perf_engine hold one to get the reference. Clear the solve cache
+/// between a frozen and an oracle pass, or the second replays the first.
+class UnfrozenOracle {
+ public:
+  UnfrozenOracle();
+  ~UnfrozenOracle();
+  UnfrozenOracle(const UnfrozenOracle&) = delete;
+  UnfrozenOracle& operator=(const UnfrozenOracle&) = delete;
 };
 
 }  // namespace ppd::spice::detail

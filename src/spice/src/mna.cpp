@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 
 #include "ppd/util/error.hpp"
 
@@ -14,10 +15,13 @@ namespace {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+constexpr std::size_t kMaxIndex = std::numeric_limits<std::uint32_t>::max();
+
 }  // namespace
 
 MnaSystem::MnaSystem(std::size_t unknowns, bool use_sparse)
     : n_(unknowns), use_sparse_(use_sparse), rhs_(unknowns, 0.0) {
+  PPD_REQUIRE(n_ < kMaxIndex, "MNA system too large for 32-bit indices");
   if (!use_sparse_) dense_ = linalg::DenseMatrix(n_, n_);
 }
 
@@ -71,7 +75,7 @@ void MnaSystem::add(MnaIndex row, MnaIndex col, double value) {
       slot = value;
       mat_changed_ = true;
       if (!trip_slot_.empty()) {
-        const std::size_t s = trip_slot_[k];
+        const std::uint32_t s = trip_slot_[k];
         if (!slot_dirty_[s]) {
           slot_dirty_[s] = 1;
           dirty_slots_.push_back(s);
@@ -81,8 +85,8 @@ void MnaSystem::add(MnaIndex row, MnaIndex col, double value) {
     return;
   }
   if (use_sparse_ || freeze_ == Freeze::kLearning) {
-    trip_row_.push_back(r);
-    trip_col_.push_back(c);
+    trip_row_.push_back(static_cast<std::uint32_t>(r));
+    trip_col_.push_back(static_cast<std::uint32_t>(c));
     trip_val_.push_back(value);
   }
   if (!use_sparse_) dense_(r, c) += value;
@@ -101,13 +105,13 @@ void MnaSystem::add_rhs(MnaIndex row, double value) {
       rhs_changed_ = true;
       if (!rhs_ptr_.empty() && !rhs_row_dirty_[r]) {
         rhs_row_dirty_[r] = 1;
-        dirty_rhs_rows_.push_back(r);
+        dirty_rhs_rows_.push_back(static_cast<std::uint32_t>(r));
       }
     }
     return;
   }
   if (freeze_ == Freeze::kLearning) {
-    rhs_row_.push_back(r);
+    rhs_row_.push_back(static_cast<std::uint32_t>(r));
     rhs_val_.push_back(value);
   }
   rhs_[r] += value;
@@ -143,55 +147,47 @@ void MnaSystem::learn_sparse_structure() {
   a_ = std::make_unique<linalg::SparseMatrix>(b);
 
   const std::size_t nt = trip_row_.size();
-  std::vector<std::size_t> count(n_ + 1, 0);
-  for (std::size_t c : trip_col_) ++count[c + 1];
+  PPD_REQUIRE(nt < kMaxIndex, "MNA stamp sequence too long for 32-bit indices");
+  std::vector<std::uint32_t> count(n_ + 1, 0);
+  for (std::uint32_t c : trip_col_) ++count[c + 1];
   for (std::size_t c = 0; c < n_; ++c) count[c + 1] += count[c];
 
-  std::vector<std::size_t> rows(nt), src(nt);
-  std::vector<std::size_t> cursor(count.begin(), count.end() - 1);
+  std::vector<std::uint32_t> rows(nt), src(nt);
+  std::vector<std::uint32_t> cursor(count.begin(), count.end() - 1);
   for (std::size_t k = 0; k < nt; ++k) {
-    const std::size_t pos = cursor[trip_col_[k]]++;
+    const std::uint32_t pos = cursor[trip_col_[k]]++;
     rows[pos] = trip_row_[k];
-    src[pos] = k;
+    src[pos] = static_cast<std::uint32_t>(k);
   }
 
-  scatter_src_.clear();
-  scatter_slot_.clear();
-  scatter_src_.reserve(nt);
-  scatter_slot_.reserve(nt);
-  std::size_t slot = 0;  // next CSC slot to open, globally increasing
+  // Slots open in increasing order, so the contributions to one slot are
+  // contiguous in accumulation order: slot_src_ lists triplets in that
+  // order and slot_ptr_ delimits each slot's run — a slot -> triplets CSR
+  // whose within-slot order IS the accumulation order. trip_slot_ is its
+  // inverse, used by add() to mark dirty slots.
+  trip_slot_.assign(nt, 0);
+  slot_src_.clear();
+  slot_src_.reserve(nt);
+  slot_ptr_.clear();
+  std::vector<std::uint32_t> order;
   for (std::size_t c = 0; c < n_; ++c) {
-    const std::size_t lo = count[c];
-    const std::size_t hi = count[c + 1];
-    std::vector<std::size_t> order(hi - lo);
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = lo + i;
+    order.resize(count[c + 1] - count[c]);
+    for (std::size_t i = 0; i < order.size(); ++i)
+      order[i] = count[c] + static_cast<std::uint32_t>(i);
     std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b2) { return rows[a] < rows[b2]; });
-    bool first = true;
-    std::size_t prev_row = 0;
+              [&](std::uint32_t a, std::uint32_t b2) { return rows[a] < rows[b2]; });
     for (std::size_t i = 0; i < order.size(); ++i) {
-      const std::size_t pos = order[i];
-      if (first || rows[pos] != prev_row) ++slot;  // opens a new CSC entry
-      first = false;
-      prev_row = rows[pos];
-      scatter_src_.push_back(src[pos]);
-      scatter_slot_.push_back(slot - 1);
+      const std::uint32_t pos = order[i];
+      if (i == 0 || rows[pos] != rows[order[i - 1]])  // opens a new CSC entry
+        slot_ptr_.push_back(static_cast<std::uint32_t>(slot_src_.size()));
+      trip_slot_[src[pos]] = static_cast<std::uint32_t>(slot_ptr_.size() - 1);
+      slot_src_.push_back(src[pos]);
     }
   }
-  PPD_REQUIRE(slot == a_->nonzeros(), "scatter program out of sync with CSC");
-
-  // Inverse maps for incremental re-scatter. scatter_slot_ is non-decreasing
-  // (slots open in order), so the contributions to one slot are contiguous
-  // in scatter order and a counting pass yields a slot -> triplets CSR whose
-  // within-slot order IS the accumulation order.
-  trip_slot_.assign(nt, 0);
-  for (std::size_t i = 0; i < nt; ++i)
-    trip_slot_[scatter_src_[i]] = scatter_slot_[i];
-  slot_src_ = scatter_src_;
-  slot_ptr_.assign(slot + 1, 0);
-  for (std::size_t s : scatter_slot_) ++slot_ptr_[s + 1];
-  for (std::size_t s = 0; s < slot; ++s) slot_ptr_[s + 1] += slot_ptr_[s];
-  slot_dirty_.assign(slot, 0);
+  const std::size_t slots = slot_ptr_.size();
+  slot_ptr_.push_back(static_cast<std::uint32_t>(nt));
+  PPD_REQUIRE(slots == a_->nonzeros(), "scatter program out of sync with CSC");
+  slot_dirty_.assign(slots, 0);
   dirty_slots_.clear();
 }
 
@@ -200,12 +196,14 @@ void MnaSystem::learn_rhs_rows() {
   // ascending sequence order, which is the order the learning assemble
   // accumulated each rhs_[r] in — so a per-row rebuild sums bitwise the same.
   const std::size_t nr = rhs_row_.size();
+  PPD_REQUIRE(nr < kMaxIndex, "MNA rhs sequence too long for 32-bit indices");
   rhs_ptr_.assign(n_ + 1, 0);
-  for (std::size_t r : rhs_row_) ++rhs_ptr_[r + 1];
+  for (std::uint32_t r : rhs_row_) ++rhs_ptr_[r + 1];
   for (std::size_t r = 0; r < n_; ++r) rhs_ptr_[r + 1] += rhs_ptr_[r];
   rhs_src_.resize(nr);
-  std::vector<std::size_t> cursor(rhs_ptr_.begin(), rhs_ptr_.end() - 1);
-  for (std::size_t k = 0; k < nr; ++k) rhs_src_[cursor[rhs_row_[k]]++] = k;
+  std::vector<std::uint32_t> cursor(rhs_ptr_.begin(), rhs_ptr_.end() - 1);
+  for (std::size_t k = 0; k < nr; ++k)
+    rhs_src_[cursor[rhs_row_[k]]++] = static_cast<std::uint32_t>(k);
   rhs_row_dirty_.assign(n_, 0);
   dirty_rhs_rows_.clear();
 }
@@ -213,14 +211,10 @@ void MnaSystem::learn_rhs_rows() {
 void MnaSystem::learn_dense_structure() {
   // Direct += assembly accumulated in add order; scattering the recorded
   // triplets in that same order reproduces every cell sum bitwise.
-  scatter_src_.clear();
-  scatter_slot_.clear();
-  scatter_src_.reserve(trip_row_.size());
-  scatter_slot_.reserve(trip_row_.size());
-  for (std::size_t k = 0; k < trip_row_.size(); ++k) {
-    scatter_src_.push_back(k);
-    scatter_slot_.push_back(trip_col_[k] * n_ + trip_row_[k]);  // column-major
-  }
+  PPD_REQUIRE(n_ * n_ < kMaxIndex, "dense MNA too large for 32-bit slots");
+  dense_slot_.resize(trip_row_.size());
+  for (std::size_t k = 0; k < trip_row_.size(); ++k)  // column-major offset
+    dense_slot_[k] = static_cast<std::uint32_t>(trip_col_[k] * n_ + trip_row_[k]);
 }
 
 void MnaSystem::solve_into(std::vector<double>& x) {
@@ -256,9 +250,9 @@ void MnaSystem::solve_into(std::vector<double>& x) {
       if (!rhs_ptr_.empty()) {
         // Only rows whose slot values changed bits need re-accumulation;
         // every other rhs_[r] already holds its (bitwise) rebuild sum.
-        for (std::size_t r : dirty_rhs_rows_) {
+        for (std::uint32_t r : dirty_rhs_rows_) {
           double acc = 0.0;
-          for (std::size_t k = rhs_ptr_[r]; k < rhs_ptr_[r + 1]; ++k)
+          for (std::uint32_t k = rhs_ptr_[r]; k < rhs_ptr_[r + 1]; ++k)
             acc += rhs_val_[rhs_src_[k]];
           rhs_[r] = acc;
           rhs_row_dirty_[r] = 0;
@@ -275,9 +269,9 @@ void MnaSystem::solve_into(std::vector<double>& x) {
         // The CSC image persists between solves (the factorization reads it,
         // never writes it), so only dirty slots re-accumulate.
         auto& av = a_->mutable_values();
-        for (std::size_t s : dirty_slots_) {
+        for (std::uint32_t s : dirty_slots_) {
           double acc = 0.0;
-          for (std::size_t k = slot_ptr_[s]; k < slot_ptr_[s + 1]; ++k)
+          for (std::uint32_t k = slot_ptr_[s]; k < slot_ptr_[s + 1]; ++k)
             acc += trip_val_[slot_src_[k]];
           av[s] = acc;
           slot_dirty_[s] = 0;
@@ -286,8 +280,8 @@ void MnaSystem::solve_into(std::vector<double>& x) {
       } else {
         dense_.set_zero();
         double* d = dense_.data();
-        for (std::size_t i = 0; i < scatter_src_.size(); ++i)
-          d[scatter_slot_[i]] += trip_val_[scatter_src_[i]];
+        for (std::size_t k = 0; k < dense_slot_.size(); ++k)
+          d[dense_slot_[k]] += trip_val_[k];
       }
     } else {
       // An unchanged matrix re-solves against the factorization already in
@@ -300,7 +294,12 @@ void MnaSystem::solve_into(std::vector<double>& x) {
     factor_ok_ = false;
     solve_cached_ = false;
     if (use_sparse_) {
-      if (!slu_.factored() || !slu_.refactor(*a_)) slu_.factor(*a_);
+      if (!slu_.factored()) {
+        slu_.factor(*a_);
+      } else if (!slu_.refactor(*a_)) {
+        ++stats_.refactor_fallbacks;
+        slu_.factor(*a_);
+      }
     } else {
       // In-place factorization consumes dense_; the next solve rebuilds it
       // from the recorded slots.

@@ -319,21 +319,6 @@ PYEOF
 kill -TERM "$rec2_pid"
 wait "$rec2_pid"
 
-echo "== batch kernel stage (batched vs scalar coverage, byte-identical) =="
-# The factor-once/solve-many kernel's end-to-end contract: routing a sweep
-# through --batch changes throughput, never bytes. Two fresh processes (no
-# shared solve cache), identical CSVs.
-"$build/tools/ppdtool" coverage --method=pulse --samples=4 --points=3 \
-  --csv > "$obs_dir/cov-scalar.csv"
-"$build/tools/ppdtool" coverage --method=pulse --samples=4 --points=3 \
-  --batch --csv > "$obs_dir/cov-batch.csv"
-cmp "$obs_dir/cov-scalar.csv" "$obs_dir/cov-batch.csv"
-"$build/tools/ppdtool" coverage --method=delay --samples=4 --points=3 \
-  --csv > "$obs_dir/covd-scalar.csv"
-"$build/tools/ppdtool" coverage --method=delay --samples=4 --points=3 \
-  --batch --csv > "$obs_dir/covd-batch.csv"
-cmp "$obs_dir/covd-scalar.csv" "$obs_dir/covd-batch.csv"
-
 echo "== bench gate (perf-regression rules over bench output) =="
 # tools/bench_gate.py compares a bench's JSON rows against the committed
 # baseline rules; a byte-identity break or an order-of-magnitude latency
@@ -368,11 +353,12 @@ for san in thread undefined; do
   "$sbuild/tests/test_recovery" --gtest_brief=1
   echo "-- $san: test_sta"
   "$sbuild/tests/test_sta" --gtest_brief=1
-  # The batch kernel advancing N samples while resistance columns fan out
-  # over the exec pool — the shared-nothing-per-sample claim under the race
-  # detector (and UBSan for the bit-punning change tracking).
-  echo "-- $san: test_core (batch kernel)"
-  "$sbuild/tests/test_core" --gtest_filter='CoverageBatch.*' --gtest_brief=1
+  # The frozen engine running one transient per sample while MC samples
+  # fan out over the exec pool (4 threads), checked against the unfrozen
+  # oracle — the shared-nothing-per-transient claim under the race detector
+  # (and UBSan for the bit-punning change tracking).
+  echo "-- $san: test_core (frozen engine)"
+  "$sbuild/tests/test_core" --gtest_filter='FrozenCoverage.*' --gtest_brief=1
 done
 
 if command -v clang-tidy >/dev/null 2>&1; then

@@ -53,6 +53,7 @@
 #include "ppd/obs/metrics.hpp"
 #include "ppd/obs/run.hpp"
 #include "ppd/util/cli.hpp"
+#include "ppd/util/json.hpp"
 
 namespace {
 
@@ -286,7 +287,7 @@ OverloadResult run_overload_pass(int clients, int rounds,
     }
     // The server must still answer normally after the storm.
     total.alive = net::is_ok(late.ping()) &&
-                  net::parse_json(late.stats())
+                  util::json::parse(late.stats())
                           .at("server")
                           .at("draining")
                           .as_bool() == false;
@@ -315,7 +316,7 @@ SubscriberResult run_subscriber(std::uint16_t port, int want) {
       const auto line = client.next_event();
       if (!line) return out;
       if (line->rfind("{\"event\":\"metrics\"", 0) != 0) continue;
-      const net::JsonValue ev = net::parse_json(*line);
+      const util::json::Value ev = util::json::parse(*line);
       const std::uint64_t seq = ev.at("seq").as_uint();
       if (seq != last_seq + 1) return out;
       last_seq = seq;

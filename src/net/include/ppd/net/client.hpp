@@ -92,7 +92,7 @@ class Client {
   };
   /// Block until the result for `id` arrives on the data channel (results
   /// for other ids are buffered). Throws ServiceError when the stream ends
-  /// first.
+  /// first and ppd::ParseError on a malformed event line.
   [[nodiscard]] Result wait(std::uint64_t id);
 
   /// submit + wait; throws ServiceError when the queue is full.

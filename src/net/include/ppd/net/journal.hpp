@@ -70,9 +70,10 @@ class SessionJournal {
                   const std::string& event_line);
   void record_close(const std::string& token);
 
-  /// Rebuild the session state from a journal file. Unparseable trailing
-  /// lines (a torn final append) are tolerated; earlier records must be
-  /// well-formed. Missing file => empty state. Closed sessions are elided.
+  /// Rebuild the session state from a journal file. An unparseable line
+  /// (a torn final append) or a record with a malformed field (an id that
+  /// is not a plain unsigned integer, a missing member) is skipped whole.
+  /// Missing file => empty state. Closed sessions are elided.
   [[nodiscard]] static State replay(const std::string& path);
 
   [[nodiscard]] const std::string& path() const { return path_; }

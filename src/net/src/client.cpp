@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "ppd/net/protocol.hpp"
+#include "ppd/util/json.hpp"
 #include "ppd/util/strings.hpp"
 
 namespace ppd::net {
@@ -127,35 +128,31 @@ Client::Result Client::wait(std::uint64_t id) {
     if (!line)
       throw ServiceError("data channel closed while waiting for query " +
                          std::to_string(id));
-    // Metrics events are nested JSON (flat parse would choke); a waiting
-    // client just skips them.
-    if (line->rfind("{\"event\":\"metrics\"", 0) == 0) continue;
-    const auto fields = parse_flat_json(*line);
-    const auto event = fields.find("event");
-    if (event == fields.end()) continue;
-    if (event->second == "drain") {
+    const util::json::Value ev = util::json::parse(*line);
+    const util::json::Value* event = ev.find("event");
+    if (event == nullptr) continue;
+    if (event->as_string() == "drain") {
       drained_ = true;
       continue;
     }
-    if (event->second != "result") continue;
+    if (event->as_string() != "result") continue;
 
     Result result;
     result.raw = *line;
-    const auto get = [&fields](const char* key) -> std::string {
-      const auto it = fields.find(key);
-      return it == fields.end() ? std::string() : it->second;
-    };
-    result.id = std::strtoull(get("id").c_str(), nullptr, 10);
-    result.qid = std::strtoull(get("qid").c_str(), nullptr, 10);
-    result.kind = get("kind");
-    result.status = get("status");
-    result.exit_code = std::atoi(get("exit_code").c_str());
-    result.elapsed_s = std::strtod(get("elapsed_s").c_str(), nullptr);
-    result.queue_s = std::strtod(get("queue_s").c_str(), nullptr);
-    result.execute_s = std::strtod(get("execute_s").c_str(), nullptr);
-    result.serialize_s = std::strtod(get("serialize_s").c_str(), nullptr);
-    result.body = get("body");
-    result.error = get("error");
+    result.id = ev.at("id").as_uint();
+    result.qid = ev.at("qid").as_uint();
+    result.kind = ev.at("kind").as_string();
+    result.status = ev.at("status").as_string();
+    result.exit_code = static_cast<int>(ev.at("exit_code").as_uint());
+    result.elapsed_s = ev.at("elapsed_s").as_number();
+    result.queue_s = ev.at("queue_s").as_number();
+    result.execute_s = ev.at("execute_s").as_number();
+    result.serialize_s = ev.at("serialize_s").as_number();
+    // Empty bodies and errors are omitted from the event.
+    if (const util::json::Value* body = ev.find("body"))
+      result.body = body->as_string();
+    if (const util::json::Value* error = ev.find("error"))
+      result.error = error->as_string();
     if (result.id == id) return result;
     pending_.emplace(result.id, std::move(result));
   }

@@ -14,6 +14,7 @@
 #include "ppd/obs/metrics.hpp"
 #include "ppd/obs/trace.hpp"
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 #include "ppd/util/strings.hpp"
 
 namespace ppd::net {
@@ -65,8 +66,8 @@ std::string result_event(std::uint64_t id, std::uint64_t qid, const char* kind,
                          const std::string& error, double* serialize_s_out) {
   const auto t0 = std::chrono::steady_clock::now();
   std::string tail;
-  if (!body.empty()) tail += ",\"body\":" + json_quote(body);
-  if (!error.empty()) tail += ",\"error\":" + json_quote(error);
+  if (!body.empty()) tail += ",\"body\":" + util::json::quote(body);
+  if (!error.empty()) tail += ",\"error\":" + util::json::quote(error);
   const double serialize_s =
       seconds_between(t0, std::chrono::steady_clock::now());
   if (serialize_s_out != nullptr) *serialize_s_out = serialize_s;
@@ -561,8 +562,8 @@ void Server::handle_data(const std::shared_ptr<TcpStream>& stream,
   // precedes any buffered result events AND no concurrent notify()/deliver()
   // can fire after the client sees the hello but before the channel is
   // attached (a metrics frame dropped in that gap would skip a seq).
-  session->attach_data(
-      stream, "{\"event\":\"hello\",\"session\":" + json_quote(token) + "}");
+  session->attach_data(stream, "{\"event\":\"hello\",\"session\":" +
+                                   util::json::quote(token) + "}");
   // Server-push channel: the client never sends; block until it hangs up
   // (or drain shuts the socket down under us).
   while (stream->read_line()) {
@@ -1016,7 +1017,7 @@ std::string Server::stats_json() const {
      << ",\"draining\":" << (draining_.load() ? "true" : "false")
      << ",\"uptime_s\":" << json_num(uptime_s);
   if (journal_)
-    os << ",\"journal\":{\"path\":" << json_quote(journal_->path())
+    os << ",\"journal\":{\"path\":" << util::json::quote(journal_->path())
        << ",\"bytes\":" << journal_->bytes()
        << ",\"rotations\":" << journal_->rotations() << "}";
   os << ",\"serialize_s\":";
@@ -1064,7 +1065,7 @@ std::string Server::stats_json() const {
     for (const auto& [token, session] : sessions_) {
       if (!first) os << ',';
       first = false;
-      os << "{\"token\":" << json_quote(token)
+      os << "{\"token\":" << util::json::quote(token)
          << ",\"in_flight\":" << session->in_flight()
          << ",\"window\":" << session->limits().max_queue
          << ",\"accepted\":" << session->queries_accepted()

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 #include "ppd/util/table.hpp"
 
 namespace ppd::obs {
@@ -17,31 +18,6 @@ std::atomic<bool> g_metrics_enabled{[] {
   const char* env = std::getenv("PPD_OBS_METRICS");
   return !(env != nullptr && env[0] == '0' && env[1] == '\0');
 }()};
-
-/// Minimal JSON string escaping (metric names are plain identifiers, but
-/// the writer must never emit malformed output regardless).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// %.17g round-trips doubles; JSON has no Inf/NaN, clamp those to null.
 std::string json_number(double v) {
@@ -331,22 +307,22 @@ void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot,
   os << "  \"counters\": {";
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
     if (i != 0) os << ',';
-    os << "\n    \"" << json_escape(snapshot.counters[i].first)
-       << "\": " << snapshot.counters[i].second;
+    os << "\n    " << util::json::quote(snapshot.counters[i].first)
+       << ": " << snapshot.counters[i].second;
   }
   os << (snapshot.counters.empty() ? "},\n" : "\n  },\n");
   os << "  \"gauges\": {";
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
     if (i != 0) os << ',';
-    os << "\n    \"" << json_escape(snapshot.gauges[i].first)
-       << "\": " << json_number(snapshot.gauges[i].second);
+    os << "\n    " << util::json::quote(snapshot.gauges[i].first)
+       << ": " << json_number(snapshot.gauges[i].second);
   }
   os << (snapshot.gauges.empty() ? "},\n" : "\n  },\n");
   os << "  \"histograms\": {";
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const HistogramSnapshot& h = snapshot.histograms[i];
     if (i != 0) os << ',';
-    os << "\n    \"" << json_escape(h.name) << "\": {"
+    os << "\n    " << util::json::quote(h.name) << ": {"
        << "\"count\": " << h.count << ", \"sum\": " << json_number(h.sum)
        << ", \"mean\": " << json_number(h.mean())
        << ", \"min\": " << json_number(h.min)

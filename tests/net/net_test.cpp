@@ -1,6 +1,6 @@
-// ppd::net — the service layer. Covers the wire protocol helpers (reversible
-// JSON escaping, flat-object parsing), the loopback socket primitives, the
-// shared query layer's key tables, and the headline service contracts:
+// ppd::net — the service layer. Covers the control-reply helpers, the
+// loopback socket primitives, the shared query layer's key tables, the
+// sta --json body's string quoting, and the headline service contracts:
 // served responses byte-identical to direct run_query output (alone, under
 // concurrent multi-client load, and with the solve cache disabled),
 // per-session backpressure (BUSY), session isolation, and graceful drain.
@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -27,66 +28,17 @@
 #include "ppd/net/query.hpp"
 #include "ppd/net/socket.hpp"
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 #include "ppd/util/strings.hpp"
 
 namespace ppd::net {
 namespace {
 
+namespace json = util::json;
+
 // ---------------------------------------------------------------------------
 // Protocol helpers.
 // ---------------------------------------------------------------------------
-
-TEST(Protocol, JsonQuoteRoundTripsEverything) {
-  const std::string nasty =
-      "line1\nline2\ttab \"quoted\" back\\slash\rcr \x01\x1f bytes";
-  const std::string quoted = json_quote(nasty);
-  EXPECT_EQ(json_unquote(quoted), nasty);
-  // The quoted form itself must be one line (the framing depends on it).
-  EXPECT_EQ(quoted.find('\n'), std::string::npos);
-  EXPECT_EQ(quoted.find('\r'), std::string::npos);
-}
-
-TEST(Protocol, JsonUnquoteRejectsMalformedEscapes) {
-  EXPECT_THROW((void)json_unquote("\"\\q\""), ParseError);
-  EXPECT_THROW((void)json_unquote("no quotes"), ParseError);
-  EXPECT_THROW((void)json_unquote("\"\\u2603\""), ParseError);  // > 0xff
-}
-
-TEST(Protocol, ParseFlatJsonReadsEventShapes) {
-  const auto fields = parse_flat_json(
-      R"({"event":"result","id":42,"exit_code":0,"elapsed_s":0.25,)"
-      R"("ok":true,"body":"a\nb"})");
-  EXPECT_EQ(fields.at("event"), "result");
-  EXPECT_EQ(fields.at("id"), "42");
-  EXPECT_EQ(fields.at("elapsed_s"), "0.25");
-  EXPECT_EQ(fields.at("ok"), "true");
-  EXPECT_EQ(fields.at("body"), "a\nb");
-  EXPECT_THROW((void)parse_flat_json("{\"unterminated\":"), ParseError);
-}
-
-TEST(Protocol, ParseJsonReadsNestedDocuments) {
-  const JsonValue doc = parse_json(
-      R"({"server":{"queries_ok":3,"draining":false,"uptime_s":1.5},)"
-      R"("kinds":{"transfer":{"queue_s":{"bins":[[1e-6,2e-6,4]]}}},)"
-      R"("sessions":[{"token":"s1"},{"token":"s2"}],"none":null})");
-  EXPECT_EQ(doc.at("server").at("queries_ok").as_uint(), 3u);
-  EXPECT_FALSE(doc.at("server").at("draining").as_bool());
-  EXPECT_DOUBLE_EQ(doc.at("server").at("uptime_s").as_number(), 1.5);
-  const JsonValue& bins =
-      doc.at("kinds").at("transfer").at("queue_s").at("bins");
-  ASSERT_EQ(bins.items.size(), 1u);
-  ASSERT_EQ(bins.items[0].items.size(), 3u);
-  EXPECT_DOUBLE_EQ(bins.items[0].items[2].as_number(), 4.0);
-  ASSERT_EQ(doc.at("sessions").items.size(), 2u);
-  EXPECT_EQ(doc.at("sessions").items[1].at("token").scalar, "s2");
-  EXPECT_EQ(doc.at("none").kind, JsonValue::Kind::kNull);
-  EXPECT_EQ(doc.find("absent"), nullptr);
-  EXPECT_THROW((void)doc.at("absent"), ParseError);
-
-  EXPECT_THROW((void)parse_json("{\"a\":}"), ParseError);
-  EXPECT_THROW((void)parse_json("{\"a\":1} extra"), ParseError);
-  EXPECT_THROW((void)parse_json("[[[[" + std::string(40, '[')), ParseError);
-}
 
 TEST(Protocol, ReplyHelpers) {
   EXPECT_TRUE(is_ok(ok_reply()));
@@ -172,6 +124,27 @@ TEST(Query, SuppressListIsValidatedAtRunTime) {
   };
   const QueryParams params = params_from_lookup(QueryKind::kSta, lookup);
   EXPECT_THROW((void)run_query(QueryKind::kSta, params), ParseError);
+}
+
+TEST(Query, StaJsonQuotesNetlistAndNetNames) {
+  // The .bench grammar accepts '"' and '\\' in net names; the JSON screen
+  // must quote them, and the netlist name, so the body stays valid JSON.
+  QueryParams params = params_from_lookup(
+      QueryKind::kSta, [](const std::string& key) -> std::optional<std::string> {
+        if (key == "json") return "1";
+        return std::nullopt;
+      });
+  ASSERT_TRUE(params.lint_json);
+  params.bench_name = "odd\"name\\.bench";
+  params.bench_text =
+      "INPUT(a\"x)\nINPUT(b\\y)\nOUTPUT(o)\no = NAND(a\"x, b\\y)\n";
+  const json::Value doc = json::parse(run_query(QueryKind::kSta, params).body);
+  EXPECT_EQ(doc.at("netlist").at("name").as_string(), "odd\"name\\.bench");
+  std::vector<std::string> paths;
+  for (const json::Value& p : doc.at("slackiest_paths").items)
+    paths.push_back(p.at("path").as_string());
+  std::sort(paths.begin(), paths.end());
+  EXPECT_EQ(paths, (std::vector<std::string>{"a\"x>o", "b\\y>o"}));
 }
 
 // ---------------------------------------------------------------------------
@@ -285,8 +258,8 @@ TEST_F(ServiceTest, StatsReportServerAndCacheCounters) {
   Client client = Client::connect(server_->port());
   client.set("points", "3");
   (void)client.run("transfer");
-  const JsonValue stats = parse_json(client.stats());
-  const JsonValue& server = stats.at("server");
+  const json::Value stats = json::parse(client.stats());
+  const json::Value& server = stats.at("server");
   EXPECT_EQ(server.at("queries_ok").as_uint(), 1u);
   EXPECT_FALSE(server.at("draining").as_bool());
   EXPECT_GT(server.at("uptime_s").as_number(), 0.0);
@@ -294,7 +267,7 @@ TEST_F(ServiceTest, StatsReportServerAndCacheCounters) {
   EXPECT_GE(stats.at("cache").at("entries").as_uint(), 0u);
   // Per-kind block: the transfer row saw exactly one query; both latency
   // histograms recorded it.
-  const JsonValue& transfer = stats.at("kinds").at("transfer");
+  const json::Value& transfer = stats.at("kinds").at("transfer");
   EXPECT_EQ(transfer.at("accepted").as_uint(), 1u);
   EXPECT_EQ(transfer.at("ok").as_uint(), 1u);
   EXPECT_EQ(transfer.at("queue_s").at("count").as_uint(), 1u);
@@ -347,10 +320,10 @@ TEST_F(ServiceTest, StatsSnapshotExactUnderConcurrentMixedKinds) {
   ASSERT_EQ(failures.load(), 0);
 
   Client probe = Client::connect(server_->port());
-  const JsonValue stats = parse_json(probe.stats());
+  const json::Value stats = json::parse(probe.stats());
   EXPECT_EQ(stats.at("server").at("queries_ok").as_uint(), 2u * kClients);
   for (const char* kind : {"transfer", "lint"}) {
-    const JsonValue& row = stats.at("kinds").at(kind);
+    const json::Value& row = stats.at("kinds").at(kind);
     EXPECT_EQ(row.at("accepted").as_uint(), static_cast<unsigned>(kClients))
         << kind;
     EXPECT_EQ(row.at("ok").as_uint(), static_cast<unsigned>(kClients))
@@ -381,7 +354,7 @@ TEST_F(ServiceTest, SubscribeStreamsMetricsSnapshots) {
     const auto line = watcher.next_event();
     ASSERT_TRUE(line.has_value());
     ASSERT_EQ(line->rfind("{\"event\":\"metrics\"", 0), 0u) << *line;
-    const JsonValue ev = parse_json(*line);
+    const json::Value ev = json::parse(*line);
     EXPECT_EQ(ev.at("seq").as_uint(), last_seq + 1);
     last_seq = ev.at("seq").as_uint();
     // The embedded stats block is the full STATS document.
@@ -691,7 +664,7 @@ TEST(ServiceQuota, ResultBacklogCapAnswersBusyBacklog) {
   // Wait for the result to land in the undelivered buffer.
   ASSERT_TRUE(poll_until([&control] {
     control.write_all("STATS\n");
-    const JsonValue stats = parse_json(control.read_line().value());
+    const json::Value stats = json::parse(control.read_line().value());
     return stats.at("sessions").items.size() == 1 &&
            stats.at("sessions").items[0].at("undelivered").as_uint() >= 1;
   }));
@@ -721,7 +694,7 @@ TEST(ServiceOverload, DeadlineExpiredWhileQueuedIsNeverExecuted) {
   const Server::Stats stats = server.stats();
   EXPECT_EQ(stats.queries_expired, 1u);
   EXPECT_EQ(stats.queries_ok, 0u);
-  const JsonValue doc = parse_json(client.stats());
+  const json::Value doc = json::parse(client.stats());
   EXPECT_EQ(doc.at("server").at("queries_expired").as_uint(), 1u);
   EXPECT_EQ(doc.at("kinds").at("transfer").at("expired").as_uint(), 1u);
   client.quit();
@@ -762,7 +735,7 @@ TEST(ServiceOverload, ShedsLowPriorityKindsFirstAboveWatermark) {
   const Server::Stats stats = server.stats();
   EXPECT_GE(stats.queries_shed, 1u);
   EXPECT_GE(stats.queries_busy, 1u);
-  const JsonValue doc = parse_json(client.stats());
+  const json::Value doc = json::parse(client.stats());
   EXPECT_GE(doc.at("kinds").at("coverage").at("shed").as_uint(), 1u);
   EXPECT_EQ(doc.at("server").at("shed_mode").as_bool(), false);
   client.quit();
@@ -824,7 +797,7 @@ TEST(ServiceResilience, DataChannelDeathIsAbsorbedAndFlushedOnReattach) {
   // Both results end up parked for the dead channel.
   ASSERT_TRUE(poll_until([&control] {
     control.write_all("STATS\n");
-    const JsonValue stats = parse_json(control.read_line().value());
+    const json::Value stats = json::parse(control.read_line().value());
     return stats.at("sessions").items.size() == 1 &&
            stats.at("sessions").items[0].at("undelivered").as_uint() >= 2;
   }));
@@ -877,7 +850,7 @@ TEST(ServiceFraming, CoalescedControlFramesAnswerInOrder) {
   EXPECT_EQ(control.read_line().value(), "OK pong");
   const auto stats = control.read_line();
   ASSERT_TRUE(stats.has_value());
-  EXPECT_NO_THROW((void)parse_json(*stats));
+  EXPECT_NO_THROW((void)json::parse(*stats));
   EXPECT_EQ(control.read_line().value(), "OK pong");
   control.shutdown_both();
   server.stop();

@@ -19,9 +19,12 @@
 #include "ppd/net/protocol.hpp"
 #include "ppd/net/server.hpp"
 #include "ppd/util/error.hpp"
+#include "ppd/util/json.hpp"
 
 namespace ppd::net {
 namespace {
+
+namespace json = util::json;
 
 constexpr const char* kBenchText =
     "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n";
@@ -80,6 +83,31 @@ TEST(Journal, ReplayToleratesTornTrailingLine) {
   ASSERT_EQ(state.count("s1"), 1u);
   EXPECT_EQ(state.at("s1").config.at("points"), "7");
   EXPECT_TRUE(state.at("s1").accepted.empty());
+}
+
+TEST(Journal, ReplaySkipsRecordsWithBadIds) {
+  TempJournal tmp("badid");
+  {
+    std::ofstream os(tmp.path, std::ios::binary);
+    os << "{\"j\":\"open\",\"token\":\"t\"}\n"
+       << "{\"j\":\"next\",\"token\":\"t\",\"id\":5}\n"
+       // None of these ids is a plain unsigned integer; strtoull would
+       // read them as 2^64-1, 0, 1 and 2^64-1 and poison next_id.
+       << "{\"j\":\"next\",\"token\":\"t\",\"id\":-1}\n"
+       << "{\"j\":\"next\",\"token\":\"t\",\"id\":\"garbage\"}\n"
+       << "{\"j\":\"ack\",\"token\":\"t\",\"id\":1.5,\"event\":\"{}\"}\n"
+       << "{\"j\":\"accept\",\"token\":\"t\",\"id\":"
+          "18446744073709551616,\"kind\":\"transfer\",\"arg\":\"\"}\n"
+       << "{\"j\":\"set\",\"token\":\"t\",\"key\":\"points\",\"value\":\"4\"}\n";
+  }
+  const SessionJournal::State state = SessionJournal::replay(tmp.path);
+  ASSERT_EQ(state.count("t"), 1u);
+  const SessionJournal::RecoveredSession& t = state.at("t");
+  EXPECT_EQ(t.next_id, 5u);
+  EXPECT_TRUE(t.accepted.empty());
+  EXPECT_TRUE(t.acked.empty());
+  // Good records after the bad ones still replay.
+  EXPECT_EQ(t.config.at("points"), "4");
 }
 
 TEST(Journal, ReplayOfMissingFileIsEmpty) {
@@ -171,9 +199,9 @@ TEST_F(RecoveryTest, JournaledSessionSurvivesControlDisconnect) {
   EXPECT_TRUE(sub.cached);
   const Client::Result redone = again.wait(id);
   EXPECT_EQ(redone.body, body);
-  const JsonValue stats = parse_json(again.stats());
+  const json::Value stats = json::parse(again.stats());
   EXPECT_EQ(stats.at("kinds").at("transfer").at("accepted").as_uint(),
-            parse_json(stats_before)
+            json::parse(stats_before)
                 .at("kinds")
                 .at("transfer")
                 .at("accepted")
@@ -265,7 +293,7 @@ TEST_F(RecoveryTest, ReissueOfInFlightIdIsDeduped) {
   // another copy (drain event closes the stream instead).
   const Client::Result res = client.wait(first.id);
   EXPECT_EQ(res.status, "ok");
-  const JsonValue stats = parse_json(client.stats());
+  const json::Value stats = json::parse(client.stats());
   EXPECT_EQ(stats.at("kinds").at("transfer").at("accepted").as_uint(), 1u);
   client.quit();
   server.stop();

@@ -9,7 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "ppd/core/coverage.hpp"
 #include "ppd/exec/cancel.hpp"
@@ -222,6 +224,55 @@ TEST(Checkpoint, LoadRejectsGarbage) {
   }
   EXPECT_THROW((void)Checkpoint::load(path), ParseError);
   EXPECT_THROW((void)Checkpoint::load(path + ".missing"), ParseError);
+  std::remove(path.c_str());
+}
+
+/// Write `text` to a scratch checkpoint file; returns its path.
+std::string write_checkpoint_text(const std::string& text) {
+  const std::string path = testing::TempDir() + "ppd_resil_ck_text.json";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  PPD_REQUIRE(f != nullptr, "cannot write " + path);
+  std::fputs(text.c_str(), f);
+  std::fclose(f);
+  return path;
+}
+
+std::string checkpoint_text(const std::string& seed, const std::string& items,
+                            const std::string& quarantine_seed,
+                            const std::string& completed = "[]") {
+  return "{\"resil_checkpoint\": 1, \"seed\": " + seed +
+         ", \"items\": " + items + ", \"context\": \"c\", \"completed\": " +
+         completed + ", \"quarantine\": [{\"item\": 0, \"seed\": " +
+         quarantine_seed + ", \"rung\": \"\", \"error\": \"e\"}]}";
+}
+
+TEST(Checkpoint, LoadRejectsDeepNesting) {
+  // A recursive reader without a depth cap overflows its stack on 2 MB of
+  // '[': a segfault, not an error.
+  const std::string path = write_checkpoint_text(std::string(2u << 20, '['));
+  EXPECT_THROW((void)Checkpoint::load(path), ParseError);
+  const std::string deep = std::string(40, '[') + std::string(40, ']');
+  EXPECT_THROW((void)Checkpoint::load(write_checkpoint_text(
+                   checkpoint_text("7", "3", "9", deep))),
+               ParseError);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, LoadRejectsOverflowingAndNegativeIntegers) {
+  const std::string path =
+      write_checkpoint_text(checkpoint_text("7", "3", "9"));
+  EXPECT_EQ(Checkpoint::load(path).quarantine(),
+            (std::vector<QuarantineEntry>{{0, 9, "", "e"}}));
+  // Counts and seeds are plain digits that fit in 64 bits: a 25-digit count
+  // must not wrap modulo 2^64, a sign or a fraction is not an integer.
+  for (const std::string& bad :
+       {checkpoint_text("7", "1234567890123456789012345", "9"),
+        checkpoint_text("18446744073709551616", "3", "9"),
+        checkpoint_text("-7", "3", "9"), checkpoint_text("7", "3", "-9"),
+        checkpoint_text("7.5", "3", "9"), checkpoint_text("7", "3e0", "9")})
+    EXPECT_THROW((void)Checkpoint::load(write_checkpoint_text(bad)),
+                 ParseError)
+        << bad;
   std::remove(path.c_str());
 }
 

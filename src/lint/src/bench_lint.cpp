@@ -140,13 +140,21 @@ Report lint_bench_text(const std::string& text, const std::string& source,
                  "gate '" + out_name + "' has no operands");
       continue;
     }
+    const std::string kind = util::to_upper(type);
+    if ((kind == "BUF" || kind == "BUFF" || kind == "NOT" || kind == "INV") &&
+        fanin.size() != 1) {
+      report.add(Severity::kError, "PPD013", here,
+                 "gate '" + out_name + "': " + kind +
+                     " takes exactly one operand");
+      continue;
+    }
     const std::size_t id = builder.get_or_create(out_name);
     GraphNode& node = builder.graph().nodes[id];
     ++node.driver_count;
     if (!node.driven) {
       // First driver wins; later drivers are reported as PPD003.
       node.driven = true;
-      node.kind = util::to_upper(type);
+      node.kind = kind;
       node.fanin = std::move(fanin);
       node.line = line_no;
     }

@@ -24,6 +24,16 @@ enum class LogicKind {
 
 [[nodiscard]] const char* logic_kind_name(LogicKind kind);
 [[nodiscard]] bool logic_kind_inverting(LogicKind kind);
+
+/// How a gate's output edge polarity relates to the input edge causing it.
+enum class EdgeCause {
+  kSame,      ///< BUF/AND/OR: a rising input edge gives a rising output edge
+  kInverted,  ///< NOT/NAND/NOR: a rising input edge gives a falling one
+  kEither,    ///< XOR/XNOR: any input edge may give either output edge
+};
+
+[[nodiscard]] EdgeCause edge_cause(LogicKind kind);
+
 /// Controlling input value, if the kind has one (AND/NAND: 0, OR/NOR: 1).
 [[nodiscard]] std::optional<bool> controlling_value(LogicKind kind);
 

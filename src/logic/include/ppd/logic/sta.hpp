@@ -40,10 +40,6 @@ struct StaResult {
                                 const GateTimingLibrary& library,
                                 double clock_period = 0.0);
 
-/// Extract one critical path (PI -> PO chain realizing critical_delay).
-[[nodiscard]] Path critical_path(const Netlist& netlist, const StaResult& sta,
-                                 const GateTimingLibrary& library);
-
 /// Fault sites (gate outputs) whose slack is at least `min_slack` — the
 /// defects there are invisible to delay testing until the defect eats that
 /// much delay; they are the pulse method's target population.

@@ -81,6 +81,9 @@ Netlist parse_bench(const std::string& text) {
       g.inputs.emplace_back(trimmed);
     }
     if (g.output.empty()) err("empty gate output name");
+    if ((g.kind == LogicKind::kBuf || g.kind == LogicKind::kNot) &&
+        g.inputs.size() != 1)
+      err(std::string(logic_kind_name(g.kind)) + " takes exactly one operand");
     pending.push_back(std::move(g));
   }
 

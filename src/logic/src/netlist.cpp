@@ -32,6 +32,21 @@ bool logic_kind_inverting(LogicKind kind) {
   }
 }
 
+EdgeCause edge_cause(LogicKind kind) {
+  switch (kind) {
+    case LogicKind::kInput:
+    case LogicKind::kBuf:
+    case LogicKind::kAnd:
+    case LogicKind::kOr: return EdgeCause::kSame;
+    case LogicKind::kNot:
+    case LogicKind::kNand:
+    case LogicKind::kNor: return EdgeCause::kInverted;
+    case LogicKind::kXor:
+    case LogicKind::kXnor: return EdgeCause::kEither;
+  }
+  return EdgeCause::kSame;
+}
+
 std::optional<bool> controlling_value(LogicKind kind) {
   switch (kind) {
     case LogicKind::kAnd:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "ppd/util/error.hpp"
 
@@ -11,21 +12,6 @@ namespace ppd::logic {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// XOR-class gates can produce either output edge from any input edge.
-bool either_edge(LogicKind kind) {
-  return kind == LogicKind::kXor || kind == LogicKind::kXnor;
-}
-
-/// Input-edge arrivals that can cause the given output edge of `kind`:
-/// non-inverting gates propagate the same polarity, inverting gates the
-/// opposite, XOR-class the worse of both.
-double causing_arrival(LogicKind kind, bool output_rise, double arr_rise,
-                       double arr_fall) {
-  if (either_edge(kind)) return std::max(arr_rise, arr_fall);
-  const bool input_rise = logic_kind_inverting(kind) ? !output_rise : output_rise;
-  return input_rise ? arr_rise : arr_fall;
-}
 
 }  // namespace
 
@@ -54,15 +40,21 @@ StaResult run_sta(const Netlist& netlist, const GateTimingLibrary& library,
     const Gate& g = netlist.gate(id);
     if (g.kind == LogicKind::kInput) continue;
     const GateTiming& t = library.timing(g.kind);
+    const EdgeCause cause = edge_cause(g.kind);
     double rise_src = 0.0;
     double fall_src = 0.0;
     for (NetId f : g.fanin) {
-      rise_src = std::max(rise_src,
-                          causing_arrival(g.kind, true, res.arrival_rise[f],
-                                          res.arrival_fall[f]));
-      fall_src = std::max(fall_src,
-                          causing_arrival(g.kind, false, res.arrival_rise[f],
-                                          res.arrival_fall[f]));
+      // The input-edge arrivals able to cause a rising / falling output
+      // edge; XOR-class gates pass the worse of both.
+      double rise = res.arrival_rise[f];
+      double fall = res.arrival_fall[f];
+      switch (cause) {
+        case EdgeCause::kSame: break;
+        case EdgeCause::kInverted: std::swap(rise, fall); break;
+        case EdgeCause::kEither: rise = fall = std::max(rise, fall); break;
+      }
+      rise_src = std::max(rise_src, rise);
+      fall_src = std::max(fall_src, fall);
     }
     res.arrival_rise[id] = rise_src + t.delay_rise;
     res.arrival_fall[id] = fall_src + t.delay_fall;
@@ -87,18 +79,20 @@ StaResult run_sta(const Netlist& netlist, const GateTimingLibrary& library,
     const GateTiming& t = library.timing(g.kind);
     const double via_rise = req_rise[id] - t.delay_rise;
     const double via_fall = req_fall[id] - t.delay_fall;
+    // The required time of each input polarity: the tighter of the output
+    // edges it can cause.
+    double need_rise = via_rise;
+    double need_fall = via_fall;
+    switch (edge_cause(g.kind)) {
+      case EdgeCause::kSame: break;
+      case EdgeCause::kInverted: std::swap(need_rise, need_fall); break;
+      case EdgeCause::kEither:
+        need_rise = need_fall = std::min(via_rise, via_fall);
+        break;
+    }
     for (NetId f : g.fanin) {
-      if (either_edge(g.kind)) {
-        const double via = std::min(via_rise, via_fall);
-        req_rise[f] = std::min(req_rise[f], via);
-        req_fall[f] = std::min(req_fall[f], via);
-      } else if (logic_kind_inverting(g.kind)) {
-        req_fall[f] = std::min(req_fall[f], via_rise);
-        req_rise[f] = std::min(req_rise[f], via_fall);
-      } else {
-        req_rise[f] = std::min(req_rise[f], via_rise);
-        req_fall[f] = std::min(req_fall[f], via_fall);
-      }
+      req_rise[f] = std::min(req_rise[f], need_rise);
+      req_fall[f] = std::min(req_fall[f], need_fall);
     }
   }
   // Collapse to the legacy per-net view: the binding (smallest-slack)
@@ -116,56 +110,6 @@ StaResult run_sta(const Netlist& netlist, const GateTimingLibrary& library,
     res.required[id] = std::min(req_rise[id], req_fall[id]);
   }
   return res;
-}
-
-Path critical_path(const Netlist& netlist, const StaResult& sta,
-                   const GateTimingLibrary& library) {
-  // Walk backward from the output with the largest arrival, always through
-  // the fanin whose causing-polarity arrival dominates. Ties keep the
-  // first (lowest-id) fanin, so the walk is deterministic.
-  PPD_REQUIRE(!netlist.outputs().empty(), "netlist has no outputs");
-  NetId cursor = netlist.outputs().front();
-  for (NetId o : netlist.outputs())
-    if (sta.arrival[o] > sta.arrival[cursor]) cursor = o;
-
-  bool rise = sta.arrival_rise[cursor] >= sta.arrival_fall[cursor];
-  std::vector<NetId> rev{cursor};
-  while (netlist.gate(cursor).kind != LogicKind::kInput) {
-    const Gate& g = netlist.gate(cursor);
-    const GateTiming& t = library.timing(g.kind);
-    const double target = (rise ? sta.arrival_rise[cursor]
-                                : sta.arrival_fall[cursor]) -
-                          (rise ? t.delay_rise : t.delay_fall);
-    // The causing input polarity for the current output edge.
-    const bool cause_rise =
-        either_edge(g.kind) ? true : (logic_kind_inverting(g.kind) ? !rise : rise);
-    NetId best = g.fanin.front();
-    bool best_rise = cause_rise;
-    double best_err = kInf;
-    for (NetId f : g.fanin) {
-      double arr;
-      bool arr_rise;
-      if (either_edge(g.kind)) {
-        arr_rise = sta.arrival_rise[f] >= sta.arrival_fall[f];
-        arr = arr_rise ? sta.arrival_rise[f] : sta.arrival_fall[f];
-      } else {
-        arr_rise = cause_rise;
-        arr = cause_rise ? sta.arrival_rise[f] : sta.arrival_fall[f];
-      }
-      const double err = std::abs(arr - target);
-      if (err < best_err) {
-        best_err = err;
-        best = f;
-        best_rise = arr_rise;
-      }
-    }
-    cursor = best;
-    rise = best_rise;
-    rev.push_back(cursor);
-  }
-  Path p;
-  p.nets.assign(rev.rbegin(), rev.rend());
-  return p;
 }
 
 std::vector<NetId> slack_sites(const Netlist& netlist, const StaResult& sta,

@@ -82,7 +82,7 @@ struct ServerOptions {
   /// RESUMEable) instead of starting empty.
   bool recover = false;
   /// Journal-backed sessions that outlive their control connection; the
-  /// oldest detached session is evicted beyond this.
+  /// least recently used detached session is evicted beyond this.
   std::size_t max_detached_sessions = 16;
   /// Test hook: sleep this long at worker pickup before the deadline
   /// check, simulating queue delay deterministically. 0 in production.
@@ -206,16 +206,18 @@ class Server {
   mutable std::mutex sessions_mutex_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;
   std::uint64_t next_session_ = 0;
-  std::uint64_t next_detach_seq_ = 0;
 
-  // In-flight jobs: counted for drain and the admission ceiling, tokens
-  // registered for cancellation.
+  // In-flight jobs: admission slots counted for the ceiling and shedding
+  // (released before the result is delivered), worker closures counted
+  // for drain (released after), tokens registered for cancellation.
   mutable std::mutex jobs_mutex_;
   std::condition_variable jobs_cv_;
   std::size_t jobs_in_flight_ = 0;
+  std::size_t jobs_running_ = 0;
   std::map<std::uint64_t, exec::CancelToken> job_tokens_;
   std::uint64_t next_job_ = 0;
 
+  std::atomic<std::uint64_t> next_use_seq_{0};  ///< Session::mark_used order
   std::atomic<std::uint64_t> sessions_opened_{0};
   std::atomic<std::uint64_t> queries_accepted_{0};
   std::atomic<std::uint64_t> queries_busy_{0};

@@ -126,11 +126,14 @@ class Session {
   void detach_data();
 
   /// Control-connection bookkeeping: a journal-backed session outlives its
-  /// control connection (detached => RESUMEable). `seq` orders detachments
-  /// so the server can evict the oldest when too many linger.
-  void set_control_attached(bool attached, std::uint64_t seq = 0);
+  /// control connection (detached => RESUMEable).
+  void set_control_attached(bool attached);
   [[nodiscard]] bool control_attached() const;
-  [[nodiscard]] std::uint64_t detached_seq() const;
+  /// Server-wide order of the session's last control command, stamped
+  /// before its reply: when too many detached sessions linger, the server
+  /// evicts the one its clients used least recently.
+  void mark_used(std::uint64_t seq);
+  [[nodiscard]] std::uint64_t last_used() const;
 
   /// Push a non-result event (hello / drain) to an attached data channel.
   void notify(const std::string& event_line);
@@ -176,7 +179,7 @@ class Session {
   std::map<std::uint64_t, std::string> acked_;  ///< bounded (kMaxAckedKept)
   std::function<void(std::uint64_t, const std::string&)> ack_hook_;
   bool control_attached_ = true;
-  std::uint64_t detached_seq_ = 0;
+  std::uint64_t last_used_ = 0;
 };
 
 }  // namespace ppd::net

@@ -1,6 +1,8 @@
 #include "ppd/net/query.hpp"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "ppd/core/coverage.hpp"
@@ -8,8 +10,9 @@
 #include "ppd/lint/bench_lint.hpp"
 #include "ppd/lint/spice_lint.hpp"
 #include "ppd/logic/bench.hpp"
-#include "ppd/sta/interval_sta.hpp"
+#include "ppd/logic/sta.hpp"
 #include "ppd/sta/lint.hpp"
+#include "ppd/sta/slack_paths.hpp"
 #include "ppd/resil/faultplan.hpp"
 #include "ppd/util/error.hpp"
 #include "ppd/util/json.hpp"
@@ -82,6 +85,9 @@ double to_double(const std::string& key, const std::string& value) {
   const double v = std::strtod(value.c_str(), &end);
   if (end == value.c_str() || *end != '\0')
     throw ParseError("option --" + key + " expects a number, got: " + value);
+  if (!std::isfinite(v))
+    throw ParseError("option --" + key + " expects a finite number, got: " +
+                     value);
   return v;
 }
 
@@ -98,7 +104,21 @@ struct Lookup {
     return v ? to_double(key, *v) : def;
   }
   [[nodiscard]] int get(const std::string& key, int def) const {
-    return static_cast<int>(get(key, static_cast<double>(def)));
+    const auto v = raw(key);
+    if (!v) return def;
+    const double d = to_double(key, *v);
+    if (d != std::trunc(d) || d < std::numeric_limits<int>::min() ||
+        d > std::numeric_limits<int>::max())
+      throw ParseError("option --" + key + " expects an integer, got: " + *v);
+    return static_cast<int>(d);
+  }
+  /// A count of things: an integer >= 0.
+  [[nodiscard]] int count(const std::string& key, int def) const {
+    const int n = get(key, def);
+    if (n < 0)
+      throw ParseError("option --" + key + " expects a count >= 0, got: " +
+                       *raw(key));
+    return n;
   }
   [[nodiscard]] bool has(const std::string& key) const {
     // Presence-style flags (--csv, --strict): the Cli adapter yields "1"
@@ -172,26 +192,26 @@ QueryParams params_from_lookup(QueryKind kind, const ParamLookup& lookup) {
   QueryParams p;
   p.gates = kv.get("gates", std::string());
   p.fault = kv.get("fault", std::string("external"));
-  p.stage = static_cast<std::size_t>(kv.get("stage", 1));
+  p.stage = static_cast<std::size_t>(kv.count("stage", 1));
   p.seed = static_cast<std::uint64_t>(kv.get("seed", 2007));
   p.sigma = kv.get("sigma", 0.05);
   p.csv = kv.has("csv");
-  p.threads = kv.get("threads", 1);
+  p.threads = kv.count("threads", 1);
   switch (kind) {
     case QueryKind::kTransfer:
       p.w_lo = kv.get("w-lo", 0.08e-9);
       p.w_hi = kv.get("w-hi", 0.8e-9);
-      p.points = static_cast<std::size_t>(kv.get("points", 15));
+      p.points = static_cast<std::size_t>(kv.count("points", 15));
       break;
     case QueryKind::kCalibrate:
-      p.samples = kv.get("samples", 30);
+      p.samples = kv.count("samples", 30);
       break;
     case QueryKind::kCoverage:
       p.method = kv.get("method", std::string("pulse"));
-      p.samples = kv.get("samples", 25);
+      p.samples = kv.count("samples", 25);
       p.r_lo = kv.get("r-lo", 1e3);
       p.r_hi = kv.get("r-hi", 64e3);
-      p.points = static_cast<std::size_t>(kv.get("points", 9));
+      p.points = static_cast<std::size_t>(kv.count("points", 9));
       p.strict = kv.has("strict");
       p.solve_budget = kv.get("solve-budget", 0.0);
       p.sweep_budget = kv.get("sweep-budget", 0.0);
@@ -205,10 +225,10 @@ QueryParams params_from_lookup(QueryKind kind, const ParamLookup& lookup) {
       p.quarantine_json = kv.get("quarantine-json", std::string());
       break;
     case QueryKind::kRmin:
-      p.samples = kv.get("samples", 20);
+      p.samples = kv.count("samples", 20);
       p.rmin_lo = kv.get("r-lo", 100.0);
       p.rmin_hi = kv.get("r-hi", 100e3);
-      p.bisection_steps = kv.get("steps", 10);
+      p.bisection_steps = kv.count("steps", 10);
       p.target_coverage = kv.get("target-coverage", 1.0);
       p.strict = kv.has("strict");
       p.solve_budget = kv.get("solve-budget", 0.0);
@@ -221,7 +241,7 @@ QueryParams params_from_lookup(QueryKind kind, const ParamLookup& lookup) {
     case QueryKind::kSta:
       p.bench = kv.get("bench", std::string());
       p.clock = kv.get("clock", 0.0);
-      p.k_paths = static_cast<std::size_t>(kv.get("k", 5));
+      p.k_paths = static_cast<std::size_t>(kv.count("k", 5));
       p.w_in_max = kv.get("w-in-max", 1.2e-9);
       p.w_th_floor = kv.get("w-th-floor", 50e-12);
       p.margin = kv.get("margin", 0.25);
@@ -443,10 +463,9 @@ QueryResult run_sta(const QueryParams& p) {
   }
   const auto lib = logic::GateTimingLibrary::generic();
 
-  const sta::IntervalStaResult ista = sta::run_interval_sta(nl, lib, p.clock);
-  sta::SlackiestOptions sopt;
-  sopt.clock_period = p.clock;
-  const auto slackiest = sta::k_slackiest_paths(nl, lib, p.k_paths, sopt);
+  const logic::StaResult timing = logic::run_sta(nl, lib, p.clock);
+  const auto slackiest =
+      sta::k_slackiest_paths(nl, lib, p.k_paths, timing.clock_period);
 
   sta::StaLintOptions lopt;
   lopt.clock_period = p.clock;
@@ -484,8 +503,8 @@ QueryResult run_sta(const QueryParams& p) {
        << ",\"inputs\":" << nl.inputs().size()
        << ",\"outputs\":" << nl.outputs().size() << "}"
        << ",\"timing\":{\"critical_delay_s\":"
-       << util::format_double(ista.critical_delay, 6)
-       << ",\"clock_period_s\":" << util::format_double(ista.clock_period, 6)
+       << util::format_double(timing.critical_delay, 6)
+       << ",\"clock_period_s\":" << util::format_double(timing.clock_period, 6)
        << "},\"slackiest_paths\":[";
     for (std::size_t i = 0; i < slackiest.size(); ++i) {
       if (i) os << ',';
@@ -511,8 +530,8 @@ QueryResult run_sta(const QueryParams& p) {
 
   os << "# " << nl.source() << ": " << nl.gate_count() << " gates, depth "
      << nl.depth() << ", critical delay "
-     << util::format_double(ista.critical_delay, 5) << " s, clock "
-     << util::format_double(ista.clock_period, 5) << " s\n";
+     << util::format_double(timing.critical_delay, 5) << " s, clock "
+     << util::format_double(timing.clock_period, 5) << " s\n";
   os << "# survival: " << dead_sites << " of " << sites
      << " sites statically pulse-dead (w_in_max "
      << util::format_double(p.w_in_max, 4) << " s, w_th_floor "
@@ -531,7 +550,7 @@ QueryResult run_sta(const QueryParams& p) {
     std::size_t n_sites = 0;
     for (logic::NetId id = 0; id < nl.size(); ++id) {
       if (nl.gate(id).kind == logic::LogicKind::kInput) continue;
-      if (ista.slack[id].lo >= frac * ista.clock_period) ++n_sites;
+      if (timing.slack[id] >= frac * timing.clock_period) ++n_sites;
     }
     slack_t.add_row({util::format_double(frac, 3), std::to_string(n_sites)});
   }

@@ -173,7 +173,8 @@ void Server::start() {
         }
       }
       session->restore(rec.next_id, rec.acked);
-      session->set_control_attached(false, ++next_detach_seq_);
+      session->mark_used(++next_use_seq_);
+      session->set_control_attached(false);
       SessionJournal* journal = journal_.get();
       const std::string tok = token;
       session->set_ack_hook(
@@ -285,6 +286,7 @@ void Server::handle_control(const std::shared_ptr<TcpStream>& stream) {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
     token = "s" + std::to_string(++next_session_);
     session = std::make_shared<Session>(token, options_.limits);
+    session->mark_used(++next_use_seq_);
     sessions_[token] = session;
   }
   sessions_opened_.fetch_add(1, std::memory_order_relaxed);
@@ -453,6 +455,9 @@ void Server::handle_control(const std::shared_ptr<TcpStream>& stream) {
       // a bad command must never take the control loop down.
       reply = err_reply(e.what());
     }
+    // Stamped before the reply, so whatever the client does after reading
+    // it (drop this session, open another) ranks this session as older.
+    session->mark_used(++next_use_seq_);
     stream->write_all(reply + "\n");
   }
 
@@ -464,8 +469,8 @@ void Server::release_session(const std::shared_ptr<Session>& session,
   // A journal-backed session with history survives its control connection
   // (detached, RESUMEable) unless the client said QUIT; everything else is
   // erased as before. Detached sessions are bounded: beyond the cap the
-  // oldest one is evicted, so hostile connect-and-vanish clients cannot
-  // accumulate state.
+  // least recently used one is evicted, so hostile connect-and-vanish
+  // clients cannot accumulate state.
   const bool keep = journal_ != nullptr && !clean_quit &&
                     !draining_.load() &&
                     (session->queries_accepted() > 0 ||
@@ -477,15 +482,15 @@ void Server::release_session(const std::shared_ptr<Session>& session,
     if (!keep) {
       sessions_.erase(token);
     } else {
-      session->set_control_attached(false, ++next_detach_seq_);
+      session->set_control_attached(false);
       std::size_t detached = 0;
       std::uint64_t oldest_seq = 0;
       std::string oldest_token;
       for (const auto& [tok, s] : sessions_) {
         if (s->control_attached()) continue;
         ++detached;
-        if (oldest_token.empty() || s->detached_seq() < oldest_seq) {
-          oldest_seq = s->detached_seq();
+        if (oldest_token.empty() || s->last_used() < oldest_seq) {
+          oldest_seq = s->last_used();
           oldest_token = tok;
         }
       }
@@ -627,12 +632,14 @@ std::string Server::submit_query(const std::shared_ptr<Session>& session,
     job_key = ++next_job_;
     job_tokens_[job_key] = params.cancel;
     ++jobs_in_flight_;
+    ++jobs_running_;
   }
 
   const auto release_job = [this, job_key] {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
     job_tokens_.erase(job_key);
     --jobs_in_flight_;
+    --jobs_running_;
     jobs_cv_.notify_all();
   };
 
@@ -788,14 +795,20 @@ std::string Server::submit_query(const std::shared_ptr<Session>& session,
                                      queue_s, execute_s, body, error,
                                      &serialize_s);
     serialize_hist_->record(serialize_s);
+    {
+      // Free the admission slot before the client can see the result: a
+      // STATS or a resubmit sent after it must not count this job.
+      std::lock_guard<std::mutex> lock(jobs_mutex_);
+      job_tokens_.erase(job_key);
+      --jobs_in_flight_;
+    }
     session->deliver(id, std::move(event));
     {
       // Notify while holding the mutex: the drain waiter cannot return (and
       // the Server cannot be destroyed under this cv) until this worker has
       // fully left both the notify and the lock.
       std::lock_guard<std::mutex> lock(jobs_mutex_);
-      job_tokens_.erase(job_key);
-      --jobs_in_flight_;
+      --jobs_running_;
       jobs_cv_.notify_all();
     }
   });
@@ -834,14 +847,13 @@ void Server::drain_with_grace(double grace_seconds) {
   // 3. Give in-flight queries the grace budget to finish...
   {
     std::unique_lock<std::mutex> lock(jobs_mutex_);
-    jobs_cv_.wait_for(
-        lock, std::chrono::duration<double>(grace_seconds),
-        [this] { return jobs_in_flight_ == 0; });
+    jobs_cv_.wait_for(lock, std::chrono::duration<double>(grace_seconds),
+                      [this] { return jobs_running_ == 0; });
     // 4. ...then cancel the stragglers. A cancelled coverage sweep with a
     // session-configured checkpoint persists it (resil::SweepGuard) before
     // the CancelledError escapes, so the work is resumable.
     for (auto& [key, token] : job_tokens_) token.cancel();
-    jobs_cv_.wait(lock, [this] { return jobs_in_flight_ == 0; });
+    jobs_cv_.wait(lock, [this] { return jobs_running_ == 0; });
   }
 
   // 5. Close every connection (control readers and data pushers) and join.

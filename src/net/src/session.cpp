@@ -223,10 +223,9 @@ void Session::detach_data() {
   data_.reset();
 }
 
-void Session::set_control_attached(bool attached, std::uint64_t seq) {
+void Session::set_control_attached(bool attached) {
   std::lock_guard<std::mutex> lock(mutex_);
   control_attached_ = attached;
-  if (!attached) detached_seq_ = seq;
 }
 
 bool Session::control_attached() const {
@@ -234,9 +233,14 @@ bool Session::control_attached() const {
   return control_attached_;
 }
 
-std::uint64_t Session::detached_seq() const {
+void Session::mark_used(std::uint64_t seq) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return detached_seq_;
+  last_used_ = seq;
+}
+
+std::uint64_t Session::last_used() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return last_used_;
 }
 
 void Session::notify(const std::string& event_line) {

@@ -1,10 +1,6 @@
-// Closed-interval arithmetic for static timing and pulse-survival bounds.
-// Intervals carry [lo, hi] pairs of seconds; the STA propagates {min,max}
-// arrival windows and the survival analysis propagates attainable
-// pulse-width ranges, both under the same tiny type.
+// Closed-interval arithmetic for the pulse-survival bounds: [lo, hi] pairs
+// of seconds, the attainable pulse-width range at a net.
 #pragma once
-
-#include <algorithm>
 
 namespace ppd::sta {
 
@@ -14,20 +10,9 @@ struct Interval {
 
   [[nodiscard]] static Interval point(double v) { return {v, v}; }
 
-  [[nodiscard]] Interval operator+(double shift) const {
-    return {lo + shift, hi + shift};
-  }
-  [[nodiscard]] double width() const { return hi - lo; }
-  [[nodiscard]] bool contains(double v) const { return lo <= v && v <= hi; }
-
   friend bool operator==(const Interval& a, const Interval& b) {
     return a.lo == b.lo && a.hi == b.hi;
   }
 };
-
-/// Smallest interval covering both operands.
-[[nodiscard]] inline Interval hull(const Interval& a, const Interval& b) {
-  return {std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
-}
 
 }  // namespace ppd::sta

@@ -4,8 +4,7 @@
 //   kKept           survives every enabled static check; eligible for
 //                   SPICE characterization
 //   kUnjustifiable  its side inputs cannot be justified to non-controlling
-//                   values (SCOAP-infinite, over the SCOAP budget, or
-//                   sensitization ATPG failure)
+//                   values (SCOAP-infinite or sensitization ATPG failure)
 //   kPulseDead      its provable block threshold exceeds the generator
 //                   ceiling: no launchable pulse can reach the PO at the
 //                   sensing floor even under optimistic in-box parameters
@@ -35,17 +34,10 @@ enum class Verdict {
 [[nodiscard]] const char* verdict_name(Verdict v);
 
 struct ScreenOptions {
-  double clock_period = 0.0;   ///< <= 0: use the netlist's critical delay
   double w_in_max = 1.2e-9;    ///< generator ceiling
   double w_th_floor = 50e-12;  ///< sensing floor
   double margin = 0.25;        ///< survival-bound parameter margin
-  bool survival = true;        ///< enable the pulse-death screen
   bool justify = true;         ///< enable the sensitization screen
-  /// Reject paths whose SCOAP side-input price exceeds this. 0 = report
-  /// the price but reject only statically-infinite ones (the default keeps
-  /// the screened sweep's kept set a pure superset property: only provable
-  /// rejections).
-  std::uint64_t scoap_budget = 0;
   logic::SensitizeOptions sensitize;
   int threads = 1;  ///< exec lanes; verdicts are thread-count invariant
 };
@@ -54,7 +46,6 @@ struct ScreenedPath {
   logic::Path path;
   Verdict verdict = Verdict::kKept;
   double delay = 0.0;       ///< polarity-tracked worst-case path delay
-  double slack = 0.0;       ///< clock_period - delay
   double w_required = 0.0;  ///< provable block threshold at the sensing floor
   std::uint64_t scoap_cost = 0;  ///< SCOAP side-input justification price
 };
@@ -65,7 +56,6 @@ struct ScreenReport {
   std::size_t kept = 0;
   std::size_t pulse_dead = 0;
   std::size_t unjustifiable = 0;
-  double clock_period = 0.0;  ///< resolved clock used for slack
 
   [[nodiscard]] std::vector<logic::Path> kept_paths() const;
 };

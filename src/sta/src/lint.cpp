@@ -4,7 +4,8 @@
 #include <limits>
 #include <string>
 
-#include "ppd/sta/interval_sta.hpp"
+#include "ppd/logic/sta.hpp"
+#include "ppd/sta/slack_paths.hpp"
 #include "ppd/util/table.hpp"
 
 namespace ppd::sta {
@@ -27,8 +28,8 @@ lint::Report lint_sta(const logic::Netlist& netlist,
                       const logic::GateTimingLibrary& library,
                       const StaLintOptions& options) {
   lint::Report report;
-  const IntervalStaResult sta =
-      run_interval_sta(netlist, library, options.clock_period);
+  const logic::StaResult sta =
+      logic::run_sta(netlist, library, options.clock_period);
   const SurvivalResult survival =
       compute_survival(netlist, library, options.survival);
 
@@ -50,7 +51,7 @@ lint::Report lint_sta(const logic::Netlist& netlist,
                    ps(options.survival.w_in_max) + " generator ceiling",
                "raise w_in_max, lower w_th_floor, or exclude the site from "
                "the pulse-test fault list");
-    const double slack = sta.slack[id].lo;
+    const double slack = sta.slack[id];
     if (slack >= options.slack_frac * sta.clock_period) {
       report.add(lint::Severity::kNote, "PPD303", g.name,
                  "untestable slack site: " + ps(slack) +
@@ -74,10 +75,9 @@ lint::Report lint_sta(const logic::Netlist& netlist,
 
   // PPD302: the slackiest paths — precisely the ones the pulse method wants
   // to probe — must be sensitizable.
-  SlackiestOptions sopt;
-  sopt.clock_period = options.clock_period;
-  for (const SlackPath& sp :
-       k_slackiest_paths(netlist, library, options.max_paths, sopt)) {
+  for (const SlackPath& sp : k_slackiest_paths(netlist, library,
+                                               options.max_paths,
+                                               sta.clock_period)) {
     if (logic::sensitize_path(netlist, sp.path, options.sensitize).ok)
       continue;
     report.add(lint::Severity::kWarning, "PPD302",

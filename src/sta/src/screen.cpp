@@ -1,8 +1,8 @@
 #include "ppd/sta/screen.hpp"
 
 #include "ppd/exec/parallel.hpp"
-#include "ppd/sta/interval_sta.hpp"
 #include "ppd/sta/scoap.hpp"
+#include "ppd/sta/slack_paths.hpp"
 #include "ppd/sta/survival.hpp"
 #include "ppd/util/error.hpp"
 
@@ -32,9 +32,6 @@ ScreenReport screen_paths(const logic::Netlist& netlist,
   PPD_REQUIRE(options.w_th_floor > 0.0, "w_th_floor must be positive");
 
   ScreenReport report;
-  const IntervalStaResult sta =
-      run_interval_sta(netlist, library, options.clock_period);
-  report.clock_period = sta.clock_period;
   const ScoapResult scoap = compute_scoap(netlist);
 
   report.paths.assign(paths.size(), ScreenedPath{});
@@ -47,16 +44,14 @@ ScreenReport screen_paths(const logic::Netlist& netlist,
         ScreenedPath& sp = report.paths[i];
         sp.path = paths[i];
         sp.delay = path_delay_worst(netlist, library, sp.path);
-        sp.slack = sta.clock_period - sp.delay;
         sp.w_required = path_required_width(library, netlist, sp.path,
                                             options.w_th_floor, options.margin);
         sp.scoap_cost = side_input_cost(netlist, scoap, sp.path);
-        if (options.survival && sp.w_required > options.w_in_max) {
+        if (sp.w_required > options.w_in_max) {
           sp.verdict = Verdict::kPulseDead;
           return;
         }
-        if (sp.scoap_cost == kScoapInfinite ||
-            (options.scoap_budget > 0 && sp.scoap_cost > options.scoap_budget)) {
+        if (sp.scoap_cost == kScoapInfinite) {
           sp.verdict = Verdict::kUnjustifiable;
           return;
         }

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ppd/cache/solve_cache.hpp"
@@ -26,6 +27,7 @@
 #include "ppd/net/client.hpp"
 #include "ppd/net/protocol.hpp"
 #include "ppd/net/query.hpp"
+#include "ppd/net/session.hpp"
 #include "ppd/net/socket.hpp"
 #include "ppd/util/error.hpp"
 #include "ppd/util/json.hpp"
@@ -124,6 +126,35 @@ TEST(Query, SuppressListIsValidatedAtRunTime) {
   };
   const QueryParams params = params_from_lookup(QueryKind::kSta, lookup);
   EXPECT_THROW((void)run_query(QueryKind::kSta, params), ParseError);
+}
+
+TEST(Query, RejectsNonFiniteAndOutOfRangeNumbers) {
+  // Numeric keys are checked where they cross the trust boundary, on both
+  // ways in: ppdtool's command line and a session's SET config. `inf`
+  // would print as invalid JSON, `nan` would silently mean "default",
+  // -1 would wrap to SIZE_MAX paths and 1e30 overflows the int cast.
+  const std::pair<const char*, const char*> bad[] = {
+      {"clock", "inf"}, {"clock", "nan"}, {"k", "-1"}, {"k", "1e30"},
+      {"k", "2.5"},     {"threads", "-2"}};
+  for (const auto& [key, value] : bad) {
+    const std::string arg = std::string("--") + key + "=" + value;
+    const char* argv[] = {"ppdtool", arg.c_str()};
+    const util::Cli cli(2, argv, query_keys(QueryKind::kSta));
+    EXPECT_THROW((void)params_from_cli(QueryKind::kSta, cli), ParseError)
+        << arg;
+
+    Session session("t", SessionLimits{});
+    session.set(key, value);
+    EXPECT_THROW((void)session.make_params(QueryKind::kSta, ""), ParseError)
+        << key << "=" << value;
+  }
+  // In-range values still parse on both paths.
+  Session session("t", SessionLimits{});
+  session.set("clock", "2e-9");
+  session.set("k", "12");
+  const QueryParams p = session.make_params(QueryKind::kSta, "");
+  EXPECT_DOUBLE_EQ(p.clock, 2e-9);
+  EXPECT_EQ(p.k_paths, 12u);
 }
 
 TEST(Query, StaJsonQuotesNetlistAndNetNames) {

@@ -1,18 +1,14 @@
-// Unit tests for the ppd::sta static-analysis subsystem: interval STA,
-// K-slackiest enumeration, SCOAP, survival bounds, the path screen and the
-// PPD3xx lint family.
+// Unit tests for the ppd::sta static-analysis subsystem: K-slackiest
+// enumeration, SCOAP, survival bounds, the path screen and the PPD3xx lint
+// family.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
-
 #include "ppd/logic/bench.hpp"
-#include "ppd/logic/sta.hpp"
 #include "ppd/sta/interval.hpp"
-#include "ppd/sta/interval_sta.hpp"
 #include "ppd/sta/lint.hpp"
 #include "ppd/sta/scoap.hpp"
 #include "ppd/sta/screen.hpp"
+#include "ppd/sta/slack_paths.hpp"
 #include "ppd/sta/survival.hpp"
 
 namespace ppd::sta {
@@ -24,101 +20,17 @@ using logic::LogicKind;
 using logic::Netlist;
 using logic::NetId;
 
-GateTimingLibrary flat_library(double rise = 100e-12, double fall = 100e-12) {
+GateTimingLibrary flat_library() {
   GateTimingLibrary lib;
   GateTiming t;
-  t.delay_rise = rise;
-  t.delay_fall = fall;
+  t.delay_rise = 100e-12;
+  t.delay_fall = 100e-12;
   lib.set_default(t);
   for (LogicKind k : {LogicKind::kNot, LogicKind::kNand, LogicKind::kNor,
                       LogicKind::kBuf, LogicKind::kAnd, LogicKind::kOr,
                       LogicKind::kXor, LogicKind::kXnor})
     lib.set(k, t);
   return lib;
-}
-
-TEST(Interval, BasicsAndHull) {
-  const Interval a{1.0, 3.0};
-  EXPECT_DOUBLE_EQ(a.width(), 2.0);
-  EXPECT_TRUE(a.contains(2.0));
-  EXPECT_FALSE(a.contains(3.5));
-  EXPECT_EQ(a + 1.0, (Interval{2.0, 4.0}));
-  EXPECT_EQ(hull(a, Interval{0.5, 2.0}), (Interval{0.5, 3.0}));
-  EXPECT_EQ(Interval::point(5.0), (Interval{5.0, 5.0}));
-}
-
-TEST(EdgeCauseMap, MatchesGateSemantics) {
-  EXPECT_EQ(edge_cause(LogicKind::kBuf), EdgeCause::kSame);
-  EXPECT_EQ(edge_cause(LogicKind::kAnd), EdgeCause::kSame);
-  EXPECT_EQ(edge_cause(LogicKind::kOr), EdgeCause::kSame);
-  EXPECT_EQ(edge_cause(LogicKind::kNot), EdgeCause::kInverted);
-  EXPECT_EQ(edge_cause(LogicKind::kNand), EdgeCause::kInverted);
-  EXPECT_EQ(edge_cause(LogicKind::kNor), EdgeCause::kInverted);
-  EXPECT_EQ(edge_cause(LogicKind::kXor), EdgeCause::kEither);
-  EXPECT_EQ(edge_cause(LogicKind::kXnor), EdgeCause::kEither);
-}
-
-TEST(IntervalSta, PolarityAlternatesThroughInverters) {
-  Netlist nl;
-  const NetId a = nl.add_input("a");
-  const NetId g1 = nl.add_gate(LogicKind::kNot, "g1", {a});
-  const NetId g2 = nl.add_gate(LogicKind::kNot, "g2", {g1});
-  nl.mark_output(g2);
-  const auto lib = flat_library(120e-12, 60e-12);
-  const IntervalStaResult r = run_interval_sta(nl, lib);
-  // A rising g1 edge is caused by a falling input edge and costs
-  // delay_rise; both windows are points (single path, no reconvergence).
-  EXPECT_EQ(r.arrival[g1].rise, Interval::point(120e-12));
-  EXPECT_EQ(r.arrival[g1].fall, Interval::point(60e-12));
-  EXPECT_EQ(r.arrival[g2].rise, Interval::point(180e-12));
-  EXPECT_EQ(r.arrival[g2].fall, Interval::point(180e-12));
-  EXPECT_DOUBLE_EQ(r.critical_delay, 180e-12);
-}
-
-TEST(IntervalSta, ReconvergenceWidensTheWindow) {
-  // out = NAND(a->slow chain, a): the fast and slow routes give the output
-  // a genuine arrival window, not a single number.
-  Netlist nl;
-  const NetId a = nl.add_input("a");
-  const NetId s1 = nl.add_gate(LogicKind::kBuf, "s1", {a});
-  const NetId s2 = nl.add_gate(LogicKind::kBuf, "s2", {s1});
-  const NetId out = nl.add_gate(LogicKind::kAnd, "out", {s2, a});
-  nl.mark_output(out);
-  const IntervalStaResult r = run_interval_sta(nl, flat_library());
-  EXPECT_DOUBLE_EQ(r.arrival[out].rise.lo, 100e-12);  // via the direct input
-  EXPECT_DOUBLE_EQ(r.arrival[out].rise.hi, 300e-12);  // via the buffer chain
-  EXPECT_DOUBLE_EQ(r.arrival[out].rise.width(), 200e-12);
-  EXPECT_DOUBLE_EQ(r.critical_delay, 300e-12);
-  // Guaranteed slack is measured against the latest arrival, optimistic
-  // against the earliest.
-  EXPECT_NEAR(r.slack[out].lo, 0.0, 1e-18);
-  EXPECT_NEAR(r.slack[out].hi, 200e-12, 1e-18);
-}
-
-TEST(IntervalSta, SlackIntervalClampsUnreachableNets) {
-  Netlist nl;
-  const NetId a = nl.add_input("a");
-  const NetId b = nl.add_input("b");
-  const NetId g = nl.add_gate(LogicKind::kNot, "g", {a});
-  const NetId dead = nl.add_gate(LogicKind::kNot, "dead", {b});
-  nl.mark_output(g);
-  const IntervalStaResult r = run_interval_sta(nl, flat_library(), 400e-12);
-  EXPECT_TRUE(std::isinf(r.required_rise[dead]));
-  EXPECT_TRUE(std::isinf(r.required_fall[dead]));
-  EXPECT_NEAR(r.slack[dead].lo, 300e-12, 1e-18);
-  EXPECT_DOUBLE_EQ(r.clock_period, 400e-12);
-}
-
-TEST(IntervalSta, AgreesWithScalarStaOnTheBenchmark) {
-  const Netlist nl = logic::synthetic_benchmark(logic::SyntheticOptions{});
-  const auto lib = GateTimingLibrary::generic();
-  const IntervalStaResult ir = run_interval_sta(nl, lib);
-  const logic::StaResult sr = logic::run_sta(nl, lib);
-  // Both passes are polarity-aware; the worst-case critical delay and the
-  // per-net latest arrivals must agree exactly.
-  EXPECT_DOUBLE_EQ(ir.critical_delay, sr.critical_delay);
-  for (NetId id = 0; id < nl.size(); ++id)
-    EXPECT_DOUBLE_EQ(ir.arrival[id].latest(), sr.arrival[id]) << "net " << id;
 }
 
 TEST(KSlackiest, FindsAllPathsOfATinyNetlist) {

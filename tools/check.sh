@@ -18,13 +18,19 @@ cmake --build "$build" -j "$(nproc)"
 echo "== ctest =="
 ctest --test-dir "$build" --output-on-failure
 
+echo "== flake stage (service overload, chaos and recovery suites x30) =="
+# The timing-sensitive service suites must pass every time, run alone: a
+# test that fails one run in thirty is a bug, not noise.
+ctest --test-dir "$build" --output-on-failure --repeat until-fail:30 \
+  -R '^(ServiceOverload|Chaos|Recovery)'
+
 echo "== ppdtool lint over data/ =="
 for f in "$repo"/data/*.bench; do
   echo "-- $f"
   "$build/tools/ppdtool" lint "$f"
 done
 
-echo "== sta stage (interval STA + PPD3xx screen over data/) =="
+echo "== sta stage (STA, slackiest paths + PPD3xx screen over data/) =="
 # The static-analysis gate: `ppdtool sta --json` must emit well-formed JSON
 # with the documented shape for every shipped netlist, and the PPD3xx lint
 # family must come back clean on them — or be suppressed here with a
@@ -333,7 +339,8 @@ echo "== util + resil + exec + cache + net + sta under TSan and UBSan =="
 # injected chaos, the sharded solve cache takes concurrent mixed traffic,
 # and the path screen fans out across a thread pool; the JSON codec every
 # file format and wire message goes through is mutation-fuzzed in
-# test_util. Run those suites with the race and UB detectors on.
+# test_util, the .bench front ends in test_sta. Run those suites with the
+# race and UB detectors on.
 for san in thread undefined; do
   sbuild="$build-$san"
   cmake -B "$sbuild" -S "$repo" -DPPD_SANITIZE="$san" >/dev/null

@@ -31,8 +31,8 @@
 //                     [--w-th-floor=s] [--margin=F] [--slack-frac=F]
 //                     [--suppress=PPD301,...] [--json]
 //       Static path-screening report of a .bench netlist (bundled
-//       C432-class benchmark when no file is given): four-value interval
-//       STA, the K slackiest paths (branch-and-bound), static
+//       C432-class benchmark when no file is given): polarity-aware STA
+//       slack, the K slackiest paths (branch-and-bound), static
 //       pulse-survival site counts, and the PPD3xx testability lint
 //       family. --json emits the whole report as one JSON object.
 //

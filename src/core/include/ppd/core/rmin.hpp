@@ -27,9 +27,10 @@ struct RminOptions {
   int threads = 1;
   /// Fire to abandon the search mid-flight (raises exec::CancelledError).
   exec::CancelToken cancel;
-  /// Resilience policy for each bisection step's MC sweep. Checkpointing is
+  /// Resilience policy for the bisection's MC sweeps. Checkpointing is
   /// ignored here (every step is its own short sweep); quarantine, the
-  /// per-solve budget and fault injection apply.
+  /// per-solve budget and fault injection apply to every step, and the
+  /// sweep budget bounds the whole bisection (TimeoutError on expiry).
   resil::SweepPolicy resil;
 };
 

@@ -388,6 +388,7 @@ QueryResult run_rmin(const QueryParams& p) {
   ropt.cancel = p.cancel;
   ropt.resil.quarantine = !p.strict;
   ropt.resil.solve_budget_seconds = p.solve_budget;
+  ropt.resil.sweep_budget_seconds = p.sweep_budget;
   const auto res = core::find_r_min(f, cal, ropt);
 
   util::Table t({"parameter", "value"});

@@ -850,8 +850,8 @@ void Server::drain_with_grace(double grace_seconds) {
     jobs_cv_.wait_for(lock, std::chrono::duration<double>(grace_seconds),
                       [this] { return jobs_running_ == 0; });
     // 4. ...then cancel the stragglers. A cancelled coverage sweep with a
-    // session-configured checkpoint persists it (resil::SweepGuard) before
-    // the CancelledError escapes, so the work is resumable.
+    // session-configured checkpoint persists it (resil::run_guarded_sweep)
+    // before the CancelledError escapes, so the work is resumable.
     for (auto& [key, token] : job_tokens_) token.cancel();
     jobs_cv_.wait(lock, [this] { return jobs_running_ == 0; });
   }

@@ -732,6 +732,24 @@ TEST(ServiceOverload, DeadlineExpiredWhileQueuedIsNeverExecuted) {
   server.stop();
 }
 
+TEST(ServiceOverload, RminDeadlineBoundsTheWholeBisection) {
+  // Forty bisection steps take far longer than the deadline; the remaining
+  // time clamps the R_min sweep budget, which covers every step together,
+  // so the query reports "expired" instead of finishing late.
+  Server server;
+  server.start();
+  Client client = Client::connect(server.port());
+  client.set("samples", "2");
+  client.set("steps", "40");
+  const Client::Submitted sub =
+      client.submit("rmin", "", Client::SubmitOptions{/*deadline_ms=*/100});
+  ASSERT_FALSE(sub.busy);
+  const Client::Result res = client.wait(sub.id);
+  EXPECT_EQ(res.status, "expired") << res.error;
+  client.quit();
+  server.stop();
+}
+
 TEST(ServiceOverload, ShedsLowPriorityKindsFirstAboveWatermark) {
   // ceiling 2, watermark 1: with one job pinned in flight the server is in
   // shed mode — coverage (lowest priority) is refused with the typed shed

@@ -21,18 +21,12 @@
 
 namespace ppd::lint {
 
-struct BenchLintOptions {
-  GraphLintOptions graph;
-};
-
 /// Lint .bench text. `source` names the input in diagnostics.
 [[nodiscard]] Report lint_bench_text(const std::string& text,
-                                     const std::string& source = "<string>",
-                                     const BenchLintOptions& options = {});
+                                     const std::string& source = "<string>");
 
 /// Lint a .bench file from disk; a missing/unreadable file is itself an
 /// error-severity diagnostic (PPD013), not an exception.
-[[nodiscard]] Report lint_bench_file(const std::string& path,
-                                     const BenchLintOptions& options = {});
+[[nodiscard]] Report lint_bench_file(const std::string& path);
 
 }  // namespace ppd::lint

@@ -13,7 +13,7 @@
 //   PPD005 warning dead gate (cannot reach any primary output)
 //   PPD006 warning unreachable gate (no primary input in its fanin cone)
 //   PPD007 note    fanout histogram
-//   PPD008 warning excessive fanout
+//   PPD008 warning excessive fanout (above 32)
 //   PPD010 error   no primary outputs
 //   PPD011 error   no primary inputs
 #pragma once
@@ -50,15 +50,7 @@ struct NetGraph {
   [[nodiscard]] std::string where(std::size_t i) const;
 };
 
-struct GraphLintOptions {
-  /// Fanout above this raises PPD008.
-  std::size_t max_fanout = 32;
-  /// Emit the PPD007 fanout-histogram note.
-  bool fanout_histogram = true;
-};
-
 /// Run every structural check over `graph`.
-[[nodiscard]] Report lint_graph(const NetGraph& graph,
-                                const GraphLintOptions& options = {});
+[[nodiscard]] Report lint_graph(const NetGraph& graph);
 
 }  // namespace ppd::lint

@@ -47,27 +47,15 @@ struct ElecGraph {
   [[nodiscard]] std::string where(const ElecDevice& d) const;
 };
 
-struct ElecLintOptions {
-  double min_resistance = 0.1;      ///< below: PPD107 (likely a unit slip)
-  double max_resistance = 1e12;
-  double min_capacitance = 1e-18;
-  double max_capacitance = 1e-6;
-  double min_geometry = 10e-9;      ///< MOSFET W/L lower bound [m]
-  double max_geometry = 1e-3;
-};
-
 /// Run every electrical check over `graph`.
-[[nodiscard]] Report lint_elec(const ElecGraph& graph,
-                               const ElecLintOptions& options = {});
+[[nodiscard]] Report lint_elec(const ElecGraph& graph);
 
 /// Scan SPICE-deck text (R/C/V/I/M cards, .model/.tran/.end ignored) into
 /// an ElecGraph and lint it. Unknown or malformed cards raise PPD110.
 [[nodiscard]] Report lint_spice_deck_text(const std::string& text,
-                                          const std::string& source = "<string>",
-                                          const ElecLintOptions& options = {});
+                                          const std::string& source = "<string>");
 
 /// Lint a deck file from disk; an unreadable file is a PPD110 diagnostic.
-[[nodiscard]] Report lint_spice_deck_file(const std::string& path,
-                                          const ElecLintOptions& options = {});
+[[nodiscard]] Report lint_spice_deck_file(const std::string& path);
 
 }  // namespace ppd::lint

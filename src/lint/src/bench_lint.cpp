@@ -42,8 +42,7 @@ class GraphBuilder {
 
 }  // namespace
 
-Report lint_bench_text(const std::string& text, const std::string& source,
-                       const BenchLintOptions& options) {
+Report lint_bench_text(const std::string& text, const std::string& source) {
   Report report;
   GraphBuilder builder(source);
 
@@ -172,11 +171,11 @@ Report lint_bench_text(const std::string& text, const std::string& source,
                  "define it with a gate or remove the declaration");
   }
 
-  report.merge(lint_graph(builder.graph(), options.graph));
+  report.merge(lint_graph(builder.graph()));
   return report;
 }
 
-Report lint_bench_file(const std::string& path, const BenchLintOptions& options) {
+Report lint_bench_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     Report report;
@@ -185,7 +184,7 @@ Report lint_bench_file(const std::string& path, const BenchLintOptions& options)
   }
   std::ostringstream os;
   os << in.rdbuf();
-  return lint_bench_text(os.str(), path, options);
+  return lint_bench_text(os.str(), path);
 }
 
 }  // namespace ppd::lint

@@ -16,6 +16,9 @@ std::string NetGraph::where(std::size_t i) const {
 
 namespace {
 
+/// Fanout above this raises PPD008.
+constexpr std::size_t kMaxFanout = 32;
+
 /// Iterative Tarjan strongly-connected components over the fanin graph.
 /// Returns every SCC with more than one node (single-node self-loops are
 /// returned too): each is a combinational cycle.
@@ -93,7 +96,7 @@ std::string join_names(const NetGraph& g, const std::vector<std::size_t>& ids,
 
 }  // namespace
 
-Report lint_graph(const NetGraph& graph, const GraphLintOptions& options) {
+Report lint_graph(const NetGraph& graph) {
   Report report;
   const std::size_t n = graph.nodes.size();
 
@@ -205,14 +208,14 @@ Report lint_graph(const NetGraph& graph, const GraphLintOptions& options) {
     const std::size_t deg = fanout[i].size();
     ++histogram[deg];
     max_seen = std::max(max_seen, deg);
-    if (deg > options.max_fanout)
+    if (deg > kMaxFanout)
       report.add(Severity::kWarning, "PPD008", graph.where(i),
                  "net '" + graph.nodes[i].name + "' fans out to " +
                      std::to_string(deg) + " gates (limit " +
-                     std::to_string(options.max_fanout) + ")",
+                     std::to_string(kMaxFanout) + ")",
                  "buffer the net; pulse attenuation grows with load");
   }
-  if (options.fanout_histogram && n > 0) {
+  if (n > 0) {
     std::ostringstream os;
     os << "fanout histogram (fanout:nets)";
     for (const auto& [deg, count] : histogram) os << ' ' << deg << ':' << count;

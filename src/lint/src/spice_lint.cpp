@@ -52,8 +52,15 @@ std::string format_value(double v) {
   return os.str();
 }
 
-void check_values(const ElecGraph& g, const ElecLintOptions& opt,
-                  Report& report) {
+// PPD107 plausibility ranges: values outside are likely unit slips.
+constexpr double kMinResistance = 0.1;      // [ohm]
+constexpr double kMaxResistance = 1e12;
+constexpr double kMinCapacitance = 1e-18;   // [F]
+constexpr double kMaxCapacitance = 1e-6;
+constexpr double kMinGeometry = 10e-9;      // MOSFET W/L [m]
+constexpr double kMaxGeometry = 1e-3;
+
+void check_values(const ElecGraph& g, Report& report) {
   for (const ElecDevice& d : g.devices) {
     switch (d.kind) {
       case ElecKind::kResistor:
@@ -62,7 +69,7 @@ void check_values(const ElecGraph& g, const ElecLintOptions& opt,
                      "resistor '" + d.name + "' has non-positive value " +
                          format_value(d.value) + " ohm",
                      "resistances must be > 0; model a short with a vsource");
-        else if (d.value < opt.min_resistance || d.value > opt.max_resistance)
+        else if (d.value < kMinResistance || d.value > kMaxResistance)
           report.add(Severity::kWarning, "PPD107", g.where(d),
                      "resistor '" + d.name + "' value " + format_value(d.value) +
                          " ohm is physically implausible",
@@ -73,7 +80,7 @@ void check_values(const ElecGraph& g, const ElecLintOptions& opt,
           report.add(Severity::kError, "PPD104", g.where(d),
                      "capacitor '" + d.name + "' has non-positive value " +
                          format_value(d.value) + " F");
-        else if (d.value < opt.min_capacitance || d.value > opt.max_capacitance)
+        else if (d.value < kMinCapacitance || d.value > kMaxCapacitance)
           report.add(Severity::kWarning, "PPD107", g.where(d),
                      "capacitor '" + d.name + "' value " + format_value(d.value) +
                          " F is physically implausible",
@@ -84,8 +91,8 @@ void check_values(const ElecGraph& g, const ElecLintOptions& opt,
           report.add(Severity::kError, "PPD105", g.where(d),
                      "MOSFET '" + d.name + "' has non-positive W or L (W=" +
                          format_value(d.w) + ", L=" + format_value(d.l) + ")");
-        else if (d.w < opt.min_geometry || d.w > opt.max_geometry ||
-                 d.l < opt.min_geometry || d.l > opt.max_geometry)
+        else if (d.w < kMinGeometry || d.w > kMaxGeometry ||
+                 d.l < kMinGeometry || d.l > kMaxGeometry)
           report.add(Severity::kWarning, "PPD107", g.where(d),
                      "MOSFET '" + d.name + "' geometry W=" + format_value(d.w) +
                          " L=" + format_value(d.l) + " is out of process range",
@@ -216,9 +223,9 @@ void check_topology(const ElecGraph& g, Report& report) {
 
 }  // namespace
 
-Report lint_elec(const ElecGraph& graph, const ElecLintOptions& options) {
+Report lint_elec(const ElecGraph& graph) {
   Report report;
-  check_values(graph, options, report);
+  check_values(graph, report);
   check_topology(graph, report);
   return report;
 }
@@ -265,8 +272,7 @@ bool key_value(const std::string& tok, const std::string& key, double* out) {
 
 }  // namespace
 
-Report lint_spice_deck_text(const std::string& text, const std::string& source,
-                            const ElecLintOptions& options) {
+Report lint_spice_deck_text(const std::string& text, const std::string& source) {
   Report report;
   ElecGraph graph;
   graph.source = source;
@@ -398,12 +404,11 @@ Report lint_spice_deck_text(const std::string& text, const std::string& source,
     graph.devices.push_back(std::move(device));
   }
 
-  report.merge(lint_elec(graph, options));
+  report.merge(lint_elec(graph));
   return report;
 }
 
-Report lint_spice_deck_file(const std::string& path,
-                            const ElecLintOptions& options) {
+Report lint_spice_deck_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     Report report;
@@ -412,7 +417,7 @@ Report lint_spice_deck_file(const std::string& path,
   }
   std::ostringstream os;
   os << in.rdbuf();
-  return lint_spice_deck_text(os.str(), path, options);
+  return lint_spice_deck_text(os.str(), path);
 }
 
 }  // namespace ppd::lint

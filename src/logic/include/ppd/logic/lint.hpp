@@ -31,8 +31,7 @@ namespace ppd::logic {
 [[nodiscard]] lint::NetGraph to_lint_graph(const Netlist& netlist);
 
 /// Structural/semantic checks over a built netlist.
-[[nodiscard]] lint::Report lint_netlist(const Netlist& netlist,
-                                        const lint::GraphLintOptions& options = {});
+[[nodiscard]] lint::Report lint_netlist(const Netlist& netlist);
 
 /// Pre-application checks over one pulse test.
 [[nodiscard]] lint::Report lint_pulse_test(const Netlist& netlist,

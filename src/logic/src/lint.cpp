@@ -24,9 +24,8 @@ lint::NetGraph to_lint_graph(const Netlist& netlist) {
   return graph;
 }
 
-lint::Report lint_netlist(const Netlist& netlist,
-                          const lint::GraphLintOptions& options) {
-  return lint::lint_graph(to_lint_graph(netlist), options);
+lint::Report lint_netlist(const Netlist& netlist) {
+  return lint::lint_graph(to_lint_graph(netlist));
 }
 
 namespace {

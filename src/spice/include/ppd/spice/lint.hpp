@@ -17,8 +17,7 @@ namespace ppd::spice {
                                             const std::string& subject = "circuit");
 
 /// Run every electrical check.
-[[nodiscard]] lint::Report lint_circuit(const Circuit& circuit,
-                                        const lint::ElecLintOptions& options = {});
+[[nodiscard]] lint::Report lint_circuit(const Circuit& circuit);
 
 /// Throw lint::LintError when `circuit` has error-severity defects
 /// (islands, voltage-source loops, device-free nodes). Called by

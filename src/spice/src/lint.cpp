@@ -39,9 +39,8 @@ lint::ElecGraph to_lint_graph(const Circuit& circuit, const std::string& subject
   return graph;
 }
 
-lint::Report lint_circuit(const Circuit& circuit,
-                          const lint::ElecLintOptions& options) {
-  return lint::lint_elec(to_lint_graph(circuit), options);
+lint::Report lint_circuit(const Circuit& circuit) {
+  return lint::lint_elec(to_lint_graph(circuit));
 }
 
 void validate_circuit(const Circuit& circuit, const std::string& subject) {

@@ -5,8 +5,9 @@
 //   PPD301  warning  statically pulse-dead gate: even the widest
 //                    launchable pulse at this site cannot reach any PO at
 //                    the sensing floor (optimistic survival bound)
-//   PPD302  warning  unjustifiable side input: a high-slack path's side
-//                    inputs cannot be sensitized to non-controlling values
+//   PPD302  warning  unjustifiable side input: one of the 32 slackiest
+//                    paths has side inputs that cannot be sensitized to
+//                    non-controlling values
 //   PPD303  note     untestable slack site: the net has enough slack to
 //                    hide a small delay defect, but is pulse-dead — the
 //                    pulse method cannot cover it
@@ -28,8 +29,6 @@ struct StaLintOptions {
   /// A net is a "slack site" for PPD303 when its guaranteed slack is at
   /// least this fraction of the clock period.
   double slack_frac = 0.25;
-  /// PPD302 examines at most this many of the slackiest paths.
-  std::size_t max_paths = 32;
   logic::SensitizeOptions sensitize;
 };
 

@@ -56,8 +56,6 @@ struct ScreenReport {
   std::size_t kept = 0;
   std::size_t pulse_dead = 0;
   std::size_t unjustifiable = 0;
-
-  [[nodiscard]] std::vector<logic::Path> kept_paths() const;
 };
 
 /// Screen `paths`. Deterministic at any thread count: each path's verdict

@@ -44,13 +44,6 @@ struct SurvivalOptions {
 [[nodiscard]] double gate_required_width(const logic::GateTiming& t,
                                          double target, double margin);
 
-/// Forward-composed output window at the path's PO for a launch window
-/// injected at the path input.
-[[nodiscard]] Interval path_pulse_bounds(const logic::GateTimingLibrary& lib,
-                                         const logic::Netlist& netlist,
-                                         const logic::Path& path,
-                                         const Interval& w_in, double margin);
-
 /// Provable block threshold of a path: the smallest launch width that can
 /// possibly reach the PO with width >= `target` (backward-composed
 /// optimistic inverses). A launch budget below this is proof of

@@ -12,6 +12,9 @@ namespace ppd::sta {
 
 namespace {
 
+/// PPD302 examines at most this many of the slackiest paths.
+constexpr std::size_t kMaxPaths = 32;
+
 std::string ps(double seconds) {
   return util::format_double(seconds * 1e12, 1) + " ps";
 }
@@ -75,8 +78,7 @@ lint::Report lint_sta(const logic::Netlist& netlist,
 
   // PPD302: the slackiest paths — precisely the ones the pulse method wants
   // to probe — must be sensitizable.
-  for (const SlackPath& sp : k_slackiest_paths(netlist, library,
-                                               options.max_paths,
+  for (const SlackPath& sp : k_slackiest_paths(netlist, library, kMaxPaths,
                                                sta.clock_period)) {
     if (logic::sensitize_path(netlist, sp.path, options.sensitize).ok)
       continue;

@@ -17,13 +17,6 @@ const char* verdict_name(Verdict v) {
   return "?";
 }
 
-std::vector<logic::Path> ScreenReport::kept_paths() const {
-  std::vector<logic::Path> out;
-  for (const ScreenedPath& p : paths)
-    if (p.verdict == Verdict::kKept) out.push_back(p.path);
-  return out;
-}
-
 ScreenReport screen_paths(const logic::Netlist& netlist,
                           const logic::GateTimingLibrary& library,
                           const std::vector<logic::Path>& paths,

@@ -47,18 +47,6 @@ double gate_required_width(const logic::GateTiming& t, double target,
   return target / k + opt.w_block;
 }
 
-Interval path_pulse_bounds(const logic::GateTimingLibrary& lib,
-                           const logic::Netlist& netlist,
-                           const logic::Path& path, const Interval& w_in,
-                           double margin) {
-  Interval w = w_in;
-  for (logic::LogicKind kind : logic::path_kinds(netlist, path)) {
-    if (w.hi <= 0.0) return {0.0, 0.0};
-    w = gate_pulse_bounds(lib.timing(kind), w, margin);
-  }
-  return w;
-}
-
 double path_required_width(const logic::GateTimingLibrary& lib,
                            const logic::Netlist& netlist,
                            const logic::Path& path, double target,

@@ -254,9 +254,11 @@ TEST(Screen, VerdictsAndDeterminismAcrossThreadCounts) {
       EXPECT_DOUBLE_EQ(r.paths[i].w_required, serial.paths[i].w_required) << i;
     }
   }
-  // kept_paths() preserves input order of the kept subset.
-  const auto kept = serial.kept_paths();
-  EXPECT_EQ(kept.size(), serial.kept);
+  // The kept count agrees with the per-path verdicts.
+  std::size_t kept = 0;
+  for (const ScreenedPath& p : serial.paths)
+    if (p.verdict == Verdict::kKept) ++kept;
+  EXPECT_EQ(kept, serial.kept);
 }
 
 TEST(Screen, GenerousCeilingKeepsSensitizablePaths) {

@@ -18,11 +18,12 @@ cmake --build "$build" -j "$(nproc)"
 echo "== ctest =="
 ctest --test-dir "$build" --output-on-failure
 
-echo "== flake stage (service overload, chaos and recovery suites x30) =="
-# The timing-sensitive service suites must pass every time, run alone: a
-# test that fails one run in thirty is a bug, not noise.
+echo "== flake stage (service, guarded-sweep and exec suites x30) =="
+# The timing-sensitive suites must pass every time, run alone: a test that
+# fails one run in thirty is a bug, not noise. They use watchdogs,
+# cancellation and the guarded sweep driver (resil::run_guarded_sweep).
 ctest --test-dir "$build" --output-on-failure --repeat until-fail:30 \
-  -R '^(ServiceOverload|Chaos|Recovery)'
+  -R '^(ServiceOverload|Chaos|Recovery|CoverageResilience|FaultSimResilience|RminResilience|ParallelFor)'
 
 echo "== ppdtool lint over data/ =="
 for f in "$repo"/data/*.bench; do

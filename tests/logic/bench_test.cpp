@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "ppd/util/error.hpp"
 
 namespace ppd::logic {
@@ -57,6 +60,63 @@ TEST(BenchParser, AcceptsAllGateTypes) {
       "g5 = NOR(g4, b)\n"
       "z = NAND(g5, a)\n");
   EXPECT_EQ(nl.gate_count(), 6u);
+}
+
+/// Pins the exact Netlist parse_bench builds: inputs in INPUT-declaration
+/// order, gates in worklist order (definition lines scanned repeatedly,
+/// each gate placed once its operands exist), outputs in first
+/// OUTPUT-declaration order, canonical kinds for the aliases.
+void expect_shape_netlist(const Netlist& nl) {
+  struct Expected {
+    const char* name;
+    LogicKind kind;
+    std::vector<NetId> fanin;
+  };
+  const Expected expected[] = {
+      {"a", LogicKind::kInput, {}},
+      {"b", LogicKind::kInput, {}},
+      {"m", LogicKind::kBuf, {1}},
+      {"g1", LogicKind::kNand, {0, 2}},
+      {"g2", LogicKind::kNor, {3, 1, 0}},
+      {"y", LogicKind::kNot, {4}},
+  };
+  ASSERT_EQ(nl.size(), std::size(expected));
+  for (NetId id = 0; id < nl.size(); ++id) {
+    EXPECT_EQ(nl.gate(id).name, expected[id].name) << id;
+    EXPECT_EQ(nl.gate(id).kind, expected[id].kind) << id;
+    EXPECT_EQ(nl.gate(id).fanin, expected[id].fanin) << id;
+  }
+  EXPECT_EQ(nl.inputs(), (std::vector<NetId>{0, 1}));
+  EXPECT_EQ(nl.outputs(), (std::vector<NetId>{5, 3}));
+}
+
+constexpr const char* kShapeText =
+    "# gate before its operand's INPUT line, forward references,\n"
+    "# a duplicate OUTPUT and the BUFF/INV aliases\n"
+    "g1 = NAND(a, m)\n"
+    "INPUT(a)\n"
+    "OUTPUT(y)\n"
+    "INPUT(b)\n"
+    "y = INV(g2)\n"
+    "OUTPUT(g1)\n"
+    "OUTPUT(y)\n"
+    "m = BUFF(b)\n"
+    "g2 = nor(g1, b, a)\n";
+
+TEST(BenchParser, BuildsTheExactNetlistShape) {
+  const Netlist nl = parse_bench(kShapeText);
+  expect_shape_netlist(nl);
+  EXPECT_EQ(nl.source(), "");
+
+  const std::string path = ::testing::TempDir() + "/ppd_shape.bench";
+  {
+    std::ofstream f(path);
+    f << kShapeText;
+  }
+  const Netlist from_file = load_bench_file(path);
+  expect_shape_netlist(from_file);
+  EXPECT_EQ(from_file.source(), path);
+  std::remove(path.c_str());
 }
 
 TEST(BenchParser, Errors) {

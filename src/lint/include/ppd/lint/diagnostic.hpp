@@ -6,10 +6,10 @@
 // location ("file:line" or a net/device name), a human message and an
 // actionable hint. Checks append to a Report; callers filter by severity
 // threshold / per-code suppression and render through the text or JSON
-// reporter. Load-time gates (load_bench_file, validate_circuit) throw
-// LintError — a ParseError subclass carrying the full report — when any
-// error-severity finding survives filtering, so existing catch sites keep
-// working while new ones can inspect the structured findings.
+// reporter. Netlist parsing (logic::parse_bench) and validate_circuit throw
+// LintError — a ParseError subclass carrying the report — when it holds an
+// error-severity finding, so existing catch sites keep working while new
+// ones can inspect the structured findings.
 #pragma once
 
 #include <iosfwd>

@@ -1,9 +1,10 @@
 // Neutral gate-graph IR for structural netlist lint.
 //
-// ppd::lint sits below ppd::logic so that load-time validation does not
-// create a dependency cycle: the .bench front end (bench_lint.hpp) builds
-// this IR straight from text — including text the strict parser rejects —
-// and ppd::logic adapts an already-built Netlist into it (logic/lint.hpp).
+// ppd::lint sits below ppd::logic so that netlist loading does not create
+// a dependency cycle: the .bench front end (bench_lint.hpp) builds this IR
+// straight from text — broken text included — and ppd::logic::parse_bench
+// builds its Netlist from the IR of a clean scan. ppd::logic also adapts an
+// already-built Netlist into it (logic/lint.hpp).
 //
 // Checks (stable codes):
 //   PPD001 error   combinational cycle (Tarjan SCC)
@@ -27,11 +28,11 @@
 namespace ppd::lint {
 
 /// One net/gate of the neutral graph. A net is *undriven* when it is
-/// neither a primary input nor defined by a gate (the front ends create
-/// placeholder nodes for such dangling references).
+/// neither a primary input nor defined by a gate (the .bench scanner
+/// creates placeholder nodes for such dangling references).
 struct GraphNode {
   std::string name;
-  std::string kind;               ///< gate type label for messages ("NAND", ...)
+  std::string kind;               ///< canonical gate type ("NAND", "BUF", ...)
   std::vector<std::size_t> fanin; ///< indices into NetGraph::nodes
   bool is_input = false;          ///< declared primary input
   bool is_output = false;         ///< declared primary output

@@ -10,47 +10,36 @@ namespace ppd::lint {
 
 namespace {
 
-bool known_gate_type(std::string_view name) {
-  using util::iequals;
-  return iequals(name, "BUF") || iequals(name, "BUFF") ||
-         iequals(name, "NOT") || iequals(name, "INV") || iequals(name, "AND") ||
-         iequals(name, "OR") || iequals(name, "NAND") || iequals(name, "NOR") ||
-         iequals(name, "XOR") || iequals(name, "XNOR");
+/// Canonical name of an upper-cased gate type ("BUFF" -> "BUF", "INV" ->
+/// "NOT"), or "" when the grammar does not know the type.
+std::string canonical_type(const std::string& upper) {
+  if (upper == "BUFF") return "BUF";
+  if (upper == "INV") return "NOT";
+  for (const char* name :
+       {"BUF", "NOT", "AND", "OR", "NAND", "NOR", "XOR", "XNOR"})
+    if (upper == name) return upper;
+  return "";
 }
-
-class GraphBuilder {
- public:
-  explicit GraphBuilder(std::string source) { graph_.source = std::move(source); }
-
-  std::size_t get_or_create(const std::string& name) {
-    const auto it = by_name_.find(name);
-    if (it != by_name_.end()) return it->second;
-    const std::size_t id = graph_.nodes.size();
-    GraphNode node;
-    node.name = name;
-    graph_.nodes.push_back(std::move(node));
-    by_name_.emplace(name, id);
-    return id;
-  }
-
-  NetGraph& graph() { return graph_; }
-
- private:
-  NetGraph graph_;
-  std::unordered_map<std::string, std::size_t> by_name_;
-};
 
 }  // namespace
 
-Report lint_bench_text(const std::string& text, const std::string& source) {
-  Report report;
-  GraphBuilder builder(source);
+BenchScan scan_bench_text(const std::string& text, const std::string& source) {
+  BenchScan scan;
+  scan.graph.source = source;
+  Report& report = scan.report;
+  std::vector<GraphNode>& nodes = scan.graph.nodes;
+  std::unordered_map<std::string, std::size_t> by_name;
+  const auto node_of = [&](const std::string& name) {
+    const auto [it, added] = by_name.emplace(name, nodes.size());
+    if (added) nodes.emplace_back().name = name;
+    return it->second;
+  };
 
   std::istringstream is(text);
   std::string raw;
   int line_no = 0;
   std::unordered_map<std::string, int> output_decl_line;
-  std::vector<std::pair<std::string, int>> output_decls;
+  std::vector<int> output_lines;  // parallel to scan.outputs
 
   while (std::getline(is, raw)) {
     ++line_no;
@@ -74,13 +63,14 @@ Report lint_bench_text(const std::string& text, const std::string& source) {
         report.add(Severity::kError, "PPD013", here, "empty signal name");
         continue;
       }
-      const std::size_t id = builder.get_or_create(name);
-      GraphNode& node = builder.graph().nodes[id];
+      const std::size_t id = node_of(name);
+      GraphNode& node = nodes[id];
       if (is_input) {
         node.is_input = true;
         node.driven = true;
         ++node.driver_count;
         if (node.line == 0) node.line = line_no;
+        scan.inputs.push_back(id);
       } else {
         const auto prev = output_decl_line.find(name);
         if (prev != output_decl_line.end())
@@ -90,7 +80,8 @@ Report lint_bench_text(const std::string& text, const std::string& source) {
         else
           output_decl_line.emplace(name, line_no);
         node.is_output = true;
-        output_decls.emplace_back(name, line_no);
+        scan.outputs.push_back(id);
+        output_lines.push_back(line_no);
       }
       continue;
     }
@@ -115,40 +106,36 @@ Report lint_bench_text(const std::string& text, const std::string& source) {
       continue;
     }
     const std::string type{util::trim(rhs.substr(0, open))};
-    if (!known_gate_type(type)) {
+    const std::string type_upper = util::to_upper(type);
+    const std::string kind = canonical_type(type_upper);
+    if (kind.empty()) {
       report.add(Severity::kError, "PPD013", here,
                  "unknown gate type '" + type + "'",
                  "use BUF|NOT|AND|OR|NAND|NOR|XOR|XNOR");
       continue;
     }
+    // util::split yields at least one field, so an empty list is an empty
+    // operand.
     std::vector<std::size_t> fanin;
     bool operands_ok = true;
-    for (const auto& arg :
-         util::split(std::string(rhs.substr(open + 1, close - open - 1)), ',')) {
+    for (const auto& arg : util::split(rhs.substr(open + 1, close - open - 1), ',')) {
       const auto trimmed = util::trim(arg);
       if (trimmed.empty()) {
         report.add(Severity::kError, "PPD013", here, "empty gate operand");
         operands_ok = false;
         break;
       }
-      fanin.push_back(builder.get_or_create(std::string(trimmed)));
+      fanin.push_back(node_of(std::string(trimmed)));
     }
     if (!operands_ok) continue;
-    if (fanin.empty()) {
+    if ((kind == "BUF" || kind == "NOT") && fanin.size() != 1) {
       report.add(Severity::kError, "PPD013", here,
-                 "gate '" + out_name + "' has no operands");
-      continue;
-    }
-    const std::string kind = util::to_upper(type);
-    if ((kind == "BUF" || kind == "BUFF" || kind == "NOT" || kind == "INV") &&
-        fanin.size() != 1) {
-      report.add(Severity::kError, "PPD013", here,
-                 "gate '" + out_name + "': " + kind +
+                 "gate '" + out_name + "': " + type_upper +
                      " takes exactly one operand");
       continue;
     }
-    const std::size_t id = builder.get_or_create(out_name);
-    GraphNode& node = builder.graph().nodes[id];
+    const std::size_t id = node_of(out_name);
+    GraphNode& node = nodes[id];
     ++node.driver_count;
     if (!node.driven) {
       // First driver wins; later drivers are reported as PPD003.
@@ -156,23 +143,28 @@ Report lint_bench_text(const std::string& text, const std::string& source) {
       node.kind = kind;
       node.fanin = std::move(fanin);
       node.line = line_no;
+      scan.gates.push_back(id);
     }
   }
 
   // PPD014 — OUTPUT declarations that never get a definition. (The
   // structural pass would also flag them as PPD002 when they feed nothing,
   // but an explicit code matches what the user wrote.)
-  for (const auto& [name, decl_line] : output_decls) {
-    const std::size_t id = builder.get_or_create(name);
-    if (!builder.graph().nodes[id].driven)
+  for (std::size_t i = 0; i < scan.outputs.size(); ++i) {
+    const GraphNode& node = nodes[scan.outputs[i]];
+    if (!node.driven)
       report.add(Severity::kError, "PPD014",
-                 source + ":" + std::to_string(decl_line),
-                 "OUTPUT '" + name + "' is never defined",
+                 source + ":" + std::to_string(output_lines[i]),
+                 "OUTPUT '" + node.name + "' is never defined",
                  "define it with a gate or remove the declaration");
   }
 
-  report.merge(lint_graph(builder.graph()));
-  return report;
+  report.merge(lint_graph(scan.graph));
+  return scan;
+}
+
+Report lint_bench_text(const std::string& text, const std::string& source) {
+  return scan_bench_text(text, source).report;
 }
 
 Report lint_bench_file(const std::string& path) {

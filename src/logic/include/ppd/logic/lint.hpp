@@ -27,9 +27,6 @@
 
 namespace ppd::logic {
 
-/// Build the lint IR for `netlist`.
-[[nodiscard]] lint::NetGraph to_lint_graph(const Netlist& netlist);
-
 /// Structural/semantic checks over a built netlist.
 [[nodiscard]] lint::Report lint_netlist(const Netlist& netlist);
 

@@ -5,7 +5,7 @@
 
 namespace ppd::logic {
 
-lint::NetGraph to_lint_graph(const Netlist& netlist) {
+lint::Report lint_netlist(const Netlist& netlist) {
   lint::NetGraph graph;
   graph.source = netlist.source();
   graph.nodes.reserve(netlist.size());
@@ -21,11 +21,7 @@ lint::NetGraph to_lint_graph(const Netlist& netlist) {
     node.driver_count = 1;
     graph.nodes.push_back(std::move(node));
   }
-  return graph;
-}
-
-lint::Report lint_netlist(const Netlist& netlist) {
-  return lint::lint_graph(to_lint_graph(netlist));
+  return lint::lint_graph(graph);
 }
 
 namespace {

@@ -19,7 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "ppd/core/measure.hpp"
 #include "ppd/exec/cancel.hpp"
+#include "ppd/lint/diagnostic.hpp"
 #include "ppd/util/cli.hpp"
 
 namespace ppd::net {
@@ -57,7 +59,8 @@ struct QueryParams {
   int bisection_steps = 10;
   double target_coverage = 1.0;
 
-  // Resilience (coverage + rmin).
+  // Resilience (coverage + rmin). solve_budget bounds each electrical
+  // solve; sweep_budget bounds the whole query, calibration included.
   bool strict = false;            ///< true = fail fast (library default)
   double solve_budget = 0.0, sweep_budget = 0.0;
   std::string checkpoint;
@@ -113,11 +116,24 @@ using ParamLookup =
 [[nodiscard]] QueryParams params_from_cli(QueryKind kind,
                                           const util::Cli& cli);
 
+/// The path the transfer / calibrate / coverage / rmin queries simulate:
+/// `p.gates` (default: the paper's seven-gate path) and, when `with_fault`,
+/// the `p.fault` defect at `p.stage`. Throws ppd::ParseError on an unknown
+/// gate or fault name.
+[[nodiscard]] core::PathFactory path_factory(const QueryParams& p,
+                                             bool with_fault);
+
 struct QueryResult {
   std::string body;   ///< byte-exact equivalent ppdtool stdout
   int exit_code = 0;  ///< process exit code ppdtool would return (lint: 1
                       ///< when error-severity findings remain)
 };
+
+/// The lint query's rendering of `report`: filtered by `p.lint_min_severity`
+/// and `p.lint_suppress` (ParseError on an unknown code), as JSON when
+/// `p.lint_json`, else text; exit code 1 when error findings remain.
+[[nodiscard]] QueryResult lint_result(const lint::Report& report,
+                                      const QueryParams& p);
 
 /// Execute one query. Throws what the underlying layers throw
 /// (ParseError, NumericalError, exec::CancelledError, ...).

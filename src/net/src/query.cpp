@@ -7,12 +7,12 @@
 
 #include "ppd/core/coverage.hpp"
 #include "ppd/core/rmin.hpp"
-#include "ppd/lint/bench_lint.hpp"
-#include "ppd/lint/spice_lint.hpp"
+#include "ppd/lint/lint.hpp"
 #include "ppd/logic/bench.hpp"
 #include "ppd/logic/sta.hpp"
 #include "ppd/sta/lint.hpp"
 #include "ppd/sta/slack_paths.hpp"
+#include "ppd/resil/deadline.hpp"
 #include "ppd/resil/faultplan.hpp"
 #include "ppd/util/error.hpp"
 #include "ppd/util/json.hpp"
@@ -54,18 +54,6 @@ std::vector<cells::GateKind> gates_from_spec(const std::string& spec) {
   for (const auto& tok : util::split(spec, ','))
     kinds.push_back(gate_kind_from_string(std::string(util::trim(tok))));
   return kinds;
-}
-
-core::PathFactory factory_from(const QueryParams& p, bool with_fault) {
-  core::PathFactory f;
-  f.options.kinds = gates_from_spec(p.gates);
-  if (with_fault) {
-    faults::PathFaultSpec spec;
-    spec.kind = fault_kind_from_string(p.fault);
-    spec.stage = p.stage;
-    f.fault = spec;
-  }
-  return f;
 }
 
 void emit(std::ostream& os, const util::Table& t, bool csv) {
@@ -262,10 +250,51 @@ QueryParams params_from_cli(QueryKind kind, const util::Cli& cli) {
                             });
 }
 
+core::PathFactory path_factory(const QueryParams& p, bool with_fault) {
+  core::PathFactory f;
+  f.options.kinds = gates_from_spec(p.gates);
+  if (with_fault) {
+    faults::PathFaultSpec spec;
+    spec.kind = fault_kind_from_string(p.fault);
+    spec.stage = p.stage;
+    f.fault = spec;
+  }
+  return f;
+}
+
+QueryResult lint_result(const lint::Report& report, const QueryParams& p) {
+  lint::LintOptions filter;
+  if (!p.lint_min_severity.empty())
+    filter.min_severity = lint::severity_from_string(p.lint_min_severity);
+  // Unknown/malformed codes are hard errors, not silently dead filters.
+  filter.suppress = lint::parse_suppress_list(p.lint_suppress);
+
+  const lint::Report shown = report.filtered(filter);
+  std::ostringstream os;
+  if (p.lint_json)
+    lint::write_json(os, shown);
+  else
+    lint::write_text(os, shown);
+  return {os.str(), shown.has_errors() ? 1 : 0};
+}
+
 namespace {
 
+/// The sweep's share of a coverage/rmin query's budget: what calibration
+/// left of it (0 = unlimited). `--sweep-budget` covers the whole query, so
+/// a calibration that spends it all is the query's timeout.
+double sweep_budget_left(const resil::Deadline& deadline, double budget) {
+  if (deadline.unlimited()) return 0.0;
+  const double left = deadline.remaining_seconds();
+  if (left <= 0.0)
+    throw TimeoutError("calibration used up the query's sweep budget of " +
+                       util::format_double(budget, 6) +
+                       " s before the sweep started");
+  return left;
+}
+
 QueryResult run_transfer(const QueryParams& p) {
-  core::PathFactory f = factory_from(p, /*with_fault=*/false);
+  core::PathFactory f = path_factory(p, /*with_fault=*/false);
   const auto grid = core::linspace(p.w_lo, p.w_hi, p.points);
   core::PathInstance inst = core::make_instance(f, 0.0, nullptr);
   const auto curve =
@@ -279,7 +308,7 @@ QueryResult run_transfer(const QueryParams& p) {
 }
 
 QueryResult run_calibrate(const QueryParams& p) {
-  core::PathFactory f = factory_from(p, /*with_fault=*/true);
+  core::PathFactory f = path_factory(p, /*with_fault=*/true);
   const auto model = mc::VariationModel::uniform_sigma(p.sigma);
 
   core::DelayCalibrationOptions dopt;
@@ -307,7 +336,8 @@ QueryResult run_calibrate(const QueryParams& p) {
 }
 
 QueryResult run_coverage(const QueryParams& p) {
-  core::PathFactory f = factory_from(p, /*with_fault=*/true);
+  const auto deadline = resil::Deadline::after(p.sweep_budget);
+  core::PathFactory f = path_factory(p, /*with_fault=*/true);
 
   core::CoverageOptions copt;
   copt.samples = p.samples;
@@ -322,7 +352,6 @@ QueryResult run_coverage(const QueryParams& p) {
   // restores the library's fail-fast default.
   copt.resil.quarantine = !p.strict;
   copt.resil.solve_budget_seconds = p.solve_budget;
-  copt.resil.sweep_budget_seconds = p.sweep_budget;
   copt.resil.checkpoint_path = p.checkpoint;
   copt.resil.resume = p.resume;
   copt.resil.faults = p.fault_plan.empty()
@@ -335,13 +364,17 @@ QueryResult run_coverage(const QueryParams& p) {
     dopt.samples = copt.samples;
     dopt.seed = copt.seed;
     dopt.variation = copt.variation;
-    res = core::run_delay_coverage(f, core::calibrate_delay_test(f, dopt), copt);
+    const auto cal = core::calibrate_delay_test(f, dopt);
+    copt.resil.sweep_budget_seconds = sweep_budget_left(deadline, p.sweep_budget);
+    res = core::run_delay_coverage(f, cal, copt);
   } else if (util::iequals(p.method, "pulse")) {
     core::PulseCalibrationOptions popt;
     popt.samples = copt.samples;
     popt.seed = copt.seed;
     popt.variation = copt.variation;
-    res = core::run_pulse_coverage(f, core::calibrate_pulse_test(f, popt), copt);
+    const auto cal = core::calibrate_pulse_test(f, popt);
+    copt.resil.sweep_budget_seconds = sweep_budget_left(deadline, p.sweep_budget);
+    res = core::run_pulse_coverage(f, cal, copt);
   } else {
     throw ParseError("unknown method: " + p.method + " (use pulse|delay)");
   }
@@ -367,7 +400,8 @@ QueryResult run_coverage(const QueryParams& p) {
 }
 
 QueryResult run_rmin(const QueryParams& p) {
-  core::PathFactory f = factory_from(p, /*with_fault=*/true);
+  const auto deadline = resil::Deadline::after(p.sweep_budget);
+  core::PathFactory f = path_factory(p, /*with_fault=*/true);
   const auto model = mc::VariationModel::uniform_sigma(p.sigma);
 
   core::PulseCalibrationOptions popt;
@@ -388,7 +422,7 @@ QueryResult run_rmin(const QueryParams& p) {
   ropt.cancel = p.cancel;
   ropt.resil.quarantine = !p.strict;
   ropt.resil.solve_budget_seconds = p.solve_budget;
-  ropt.resil.sweep_budget_seconds = p.sweep_budget;
+  ropt.resil.sweep_budget_seconds = sweep_budget_left(deadline, p.sweep_budget);
   const auto res = core::find_r_min(f, cal, ropt);
 
   util::Table t({"parameter", "value"});
@@ -404,38 +438,6 @@ QueryResult run_rmin(const QueryParams& p) {
   return {os.str(), 0};
 }
 
-bool has_ext(const std::string& name, const char* ext) {
-  const auto dot = name.rfind('.');
-  return dot != std::string::npos &&
-         util::iequals(std::string_view(name).substr(dot), ext);
-}
-
-QueryResult run_lint(const QueryParams& p) {
-  lint::Report report;
-  if (has_ext(p.lint_name, ".bench"))
-    report = lint::lint_bench_text(p.lint_text, p.lint_name);
-  else if (has_ext(p.lint_name, ".sp") || has_ext(p.lint_name, ".cir") ||
-           has_ext(p.lint_name, ".spice"))
-    report = lint::lint_spice_deck_text(p.lint_text, p.lint_name);
-  else
-    throw ParseError("cannot infer input language of '" + p.lint_name +
-                     "' (expected .bench or .sp/.cir/.spice)");
-
-  lint::LintOptions filter;
-  if (!p.lint_min_severity.empty())
-    filter.min_severity = lint::severity_from_string(p.lint_min_severity);
-  // Unknown/malformed codes are hard errors, not silently dead filters.
-  filter.suppress = lint::parse_suppress_list(p.lint_suppress);
-
-  const lint::Report shown = report.filtered(filter);
-  std::ostringstream os;
-  if (p.lint_json)
-    lint::write_json(os, shown);
-  else
-    lint::write_text(os, shown);
-  return {os.str(), shown.has_errors() ? 1 : 0};
-}
-
 std::string base_name(const std::string& path) {
   const auto slash = path.find_last_of('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
@@ -448,12 +450,7 @@ QueryResult run_sta(const QueryParams& p) {
   // run over the same file.
   logic::Netlist nl;
   if (!p.bench_text.empty()) {
-    lint::LintOptions errors_only;
-    errors_only.min_severity = lint::Severity::kError;
-    lint::lint_bench_text(p.bench_text, p.bench_name)
-        .filtered(errors_only)
-        .throw_on_error(p.bench_name);
-    nl = logic::parse_bench(p.bench_text);
+    nl = logic::parse_bench(p.bench_text, p.bench_name);
     nl.set_source(base_name(p.bench_name));
   } else if (!p.bench.empty()) {
     nl = logic::load_bench_file(p.bench);
@@ -568,7 +565,9 @@ QueryResult run_query(QueryKind kind, const QueryParams& params) {
     case QueryKind::kCalibrate: return run_calibrate(params);
     case QueryKind::kCoverage: return run_coverage(params);
     case QueryKind::kRmin: return run_rmin(params);
-    case QueryKind::kLint: return run_lint(params);
+    case QueryKind::kLint:
+      return lint_result(lint::lint_text(params.lint_text, params.lint_name),
+                         params);
     case QueryKind::kSta: return run_sta(params);
   }
   throw PreconditionError("unhandled query kind");

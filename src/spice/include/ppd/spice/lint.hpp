@@ -1,6 +1,7 @@
-// Static analysis over a built Circuit: adapt the device list into the
-// neutral ppd::lint electrical IR and run the PPD1xx checks (ground
-// islands, gmin-dependent nodes, voltage-source loops, parameter ranges).
+// Static analysis over a built Circuit: validate_circuit adapts the device
+// list into the neutral ppd::lint electrical IR and runs the PPD1xx checks
+// (ground islands, gmin-dependent nodes, voltage-source loops, parameter
+// ranges).
 //
 // The analyses call validate_circuit() on entry, so a structurally broken
 // circuit is rejected with an actionable LintError *before* the MNA solver
@@ -11,13 +12,6 @@
 #include "ppd/spice/circuit.hpp"
 
 namespace ppd::spice {
-
-/// Build the lint IR for `circuit`. `subject` names it in diagnostics.
-[[nodiscard]] lint::ElecGraph to_lint_graph(const Circuit& circuit,
-                                            const std::string& subject = "circuit");
-
-/// Run every electrical check.
-[[nodiscard]] lint::Report lint_circuit(const Circuit& circuit);
 
 /// Throw lint::LintError when `circuit` has error-severity defects
 /// (islands, voltage-source loops, device-free nodes). Called by

@@ -4,9 +4,11 @@
 
 namespace ppd::spice {
 
-lint::ElecGraph to_lint_graph(const Circuit& circuit, const std::string& subject) {
+namespace {
+
+lint::ElecGraph to_lint_graph(const Circuit& circuit) {
   lint::ElecGraph graph;
-  graph.source = subject;
+  graph.source = "circuit";
   graph.node_names.reserve(circuit.node_count());
   for (std::size_t n = 0; n < circuit.node_count(); ++n)
     graph.node_names.push_back(circuit.node_name(static_cast<NodeId>(n)));
@@ -39,16 +41,10 @@ lint::ElecGraph to_lint_graph(const Circuit& circuit, const std::string& subject
   return graph;
 }
 
-lint::Report lint_circuit(const Circuit& circuit) {
-  return lint::lint_elec(to_lint_graph(circuit));
-}
+}  // namespace
 
 void validate_circuit(const Circuit& circuit, const std::string& subject) {
-  const lint::Report report = lint_circuit(circuit);
-  if (!report.has_errors()) return;
-  lint::LintOptions errors_only;
-  errors_only.min_severity = lint::Severity::kError;
-  report.filtered(errors_only).throw_on_error(subject);
+  lint::lint_elec(to_lint_graph(circuit)).throw_on_error(subject);
 }
 
 }  // namespace ppd::spice

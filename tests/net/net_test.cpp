@@ -157,6 +157,28 @@ TEST(Query, RejectsNonFiniteAndOutOfRangeNumbers) {
   EXPECT_EQ(p.k_paths, 12u);
 }
 
+TEST(Query, SweepBudgetCoversCalibration) {
+  // The sweep budget bounds the whole coverage/rmin query: one far below
+  // the calibration's run time expires there, before the sweep starts,
+  // instead of being handed to the sweep in full afterwards.
+  for (const QueryKind kind : {QueryKind::kCoverage, QueryKind::kRmin}) {
+    QueryParams params = params_from_lookup(
+        kind, [](const std::string& key) -> std::optional<std::string> {
+          if (key == "samples" || key == "points" || key == "steps")
+            return "2";
+          return std::nullopt;
+        });
+    params.sweep_budget = 1e-6;
+    try {
+      (void)run_query(kind, params);
+      ADD_FAILURE() << query_kind_name(kind) << ": expected TimeoutError";
+    } catch (const TimeoutError& e) {
+      EXPECT_NE(std::string(e.what()).find("calibration"), std::string::npos)
+          << query_kind_name(kind) << ": " << e.what();
+    }
+  }
+}
+
 TEST(Query, StaJsonQuotesNetlistAndNetNames) {
   // The .bench grammar accepts '"' and '\\' in net names; the JSON screen
   // must quote them, and the netlist name, so the body stays valid JSON.

@@ -21,9 +21,10 @@ ctest --test-dir "$build" --output-on-failure
 echo "== flake stage (service, guarded-sweep and exec suites x30) =="
 # The timing-sensitive suites must pass every time, run alone: a test that
 # fails one run in thirty is a bug, not noise. They use watchdogs,
-# cancellation and the guarded sweep driver (resil::run_guarded_sweep).
+# cancellation and the guarded sweep driver (resil::run_guarded_sweep),
+# or the exec scheduler underneath them.
 ctest --test-dir "$build" --output-on-failure --repeat until-fail:30 \
-  -R '^(ServiceOverload|Chaos|Recovery|CoverageResilience|FaultSimResilience|RminResilience|ParallelFor)'
+  -R '^(ServiceOverload|Chaos|Recovery|CoverageResilience|FaultSimResilience|RminResilience|ParallelFor|ParallelMap|ResolveThreads|ThreadPool)'
 
 echo "== ppdtool lint over data/ =="
 for f in "$repo"/data/*.bench; do
@@ -335,19 +336,20 @@ python3 "$repo/tools/bench_gate.py" --self-test
   python3 "$repo/tools/bench_gate.py" \
     --baseline "$repo/bench/baseline/service_load.json" -
 
-echo "== util + resil + exec + cache + net + sta under TSan and UBSan =="
+echo "== util + resil + exec + cache + net + sta + lint under TSan and UBSan =="
 # The recovery/quarantine/checkpoint paths are themselves exercised under
 # injected chaos, the sharded solve cache takes concurrent mixed traffic,
 # and the path screen fans out across a thread pool; the JSON codec every
 # file format and wire message goes through is mutation-fuzzed in
-# test_util, the .bench front ends in test_sta. Run those suites with the
-# race and UB detectors on.
+# test_util, the .bench scanner in test_sta. The scanner feeds every
+# netlist load, so its own suite (test_lint) and the parser's (test_logic
+# Bench*) run here too. Run those suites with the race and UB detectors on.
 for san in thread undefined; do
   sbuild="$build-$san"
   cmake -B "$sbuild" -S "$repo" -DPPD_SANITIZE="$san" >/dev/null
   cmake --build "$sbuild" -j "$(nproc)" \
     --target test_util test_resil test_exec test_cache test_net test_chaos \
-    test_recovery test_sta test_core >/dev/null
+    test_recovery test_sta test_core test_lint test_logic >/dev/null
   echo "-- $san: test_util"
   "$sbuild/tests/test_util" --gtest_brief=1
   echo "-- $san: test_resil"
@@ -364,6 +366,10 @@ for san in thread undefined; do
   "$sbuild/tests/test_recovery" --gtest_brief=1
   echo "-- $san: test_sta"
   "$sbuild/tests/test_sta" --gtest_brief=1
+  echo "-- $san: test_lint"
+  "$sbuild/tests/test_lint" --gtest_brief=1
+  echo "-- $san: test_logic (.bench parser)"
+  "$sbuild/tests/test_logic" --gtest_filter='Bench*' --gtest_brief=1
   # The frozen engine running one transient per sample while MC samples
   # fan out over the exec pool (4 threads), checked against the unfrozen
   # oracle — the shared-nothing-per-transient claim under the race detector

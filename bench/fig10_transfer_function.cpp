@@ -26,9 +26,8 @@ int run(int argc, char** argv) {
 
   // Nominal curve.
   const auto grid = core::linspace(0.08e-9, 0.8e-9, 19);
-  core::PathInstance nominal = core::make_instance(factory, 0.0, nullptr);
   const auto curve =
-      core::transfer_function(nominal.path, core::PulseKind::kH, grid, sim);
+      core::transfer_function(factory, core::PulseKind::kH, grid, sim);
   util::Table t({"w_in_s", "w_out_s_nominal"});
   for (std::size_t i = 0; i < grid.size(); ++i)
     t.add_numeric_row({curve.w_in[i], curve.w_out[i]}, 5);

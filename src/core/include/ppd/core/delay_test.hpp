@@ -13,6 +13,7 @@
 #include <optional>
 
 #include "ppd/core/measure.hpp"
+#include "ppd/exec/cancel.hpp"
 
 namespace ppd::core {
 
@@ -49,6 +50,10 @@ struct DelayCalibrationOptions {
   /// passes every fault-free instance (paper: 10%).
   double clock_guard = 0.10;
   bool input_rising = true;
+  /// Fired: the calibration stops claiming samples and raises
+  /// exec::CancelledError. The samples always run at the exec pool's width
+  /// (serially on a pool worker and under fault injection).
+  exec::CancelToken cancel;
 };
 
 /// Monte-Carlo calibration of the nominal test period for `factory`'s path

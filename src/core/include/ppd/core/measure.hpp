@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ppd/cells/path.hpp"
+#include "ppd/exec/cancel.hpp"
 #include "ppd/faults/fault.hpp"
 #include "ppd/mc/variation.hpp"
 #include "ppd/spice/analysis.hpp"
@@ -93,8 +94,9 @@ struct PathInstance {
                                                        double w_in,
                                                        const SimSettings& sim);
 
-/// Sampled pulse transfer function of one circuit instance (Fig. 10): pairs
-/// (w_in, w_out) over a width grid, with 0 recorded for dampened pulses.
+/// Sampled pulse transfer function of `factory`'s nominal, fault-free
+/// instance (Fig. 10): pairs (w_in, w_out) over a width grid, with 0
+/// recorded for dampened pulses.
 /// A dampened pulse (w_out = 0) is a *measurement*; a solver failure is
 /// not — failed points carry w_out = NaN and failed[i] != 0 so downstream
 /// consumers cannot mistake a diverged solve for perfect attenuation.
@@ -105,9 +107,14 @@ struct TransferCurve {
   std::size_t n_failed = 0;    ///< number of failed points
 };
 
-[[nodiscard]] TransferCurve transfer_function(cells::Path& path, PulseKind kind,
-                                              const std::vector<double>& w_in_grid,
-                                              const SimSettings& sim);
+/// Each grid point is measured on its own instance, fanned out over the
+/// exec pool (serial on a pool worker and under fault injection) with the
+/// results bit-identical to the serial loop. A fired `cancel` raises
+/// exec::CancelledError.
+[[nodiscard]] TransferCurve transfer_function(
+    const PathFactory& factory, PulseKind kind,
+    const std::vector<double>& w_in_grid, const SimSettings& sim,
+    const exec::CancelToken& cancel = {});
 
 /// Uniformly spaced grid helper [lo, hi] with n points (n >= 2).
 [[nodiscard]] std::vector<double> linspace(double lo, double hi, std::size_t n);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "ppd/core/measure.hpp"
+#include "ppd/exec/cancel.hpp"
 
 namespace ppd::core {
 
@@ -55,6 +56,10 @@ struct PulseCalibrationOptions {
   /// the generator's low tail, w_in * (1 - generator_guard_sigmas * sigma).
   double generator_sigma = 0.03;
   double generator_guard_sigmas = 3.0;
+  /// Fired: the calibration stops claiming grid points and samples and
+  /// raises exec::CancelledError. Both always run at the exec pool's width
+  /// (serially on a pool worker and under fault injection).
+  exec::CancelToken cancel;
 };
 
 /// Monte-Carlo calibration for `factory`'s path (built fault-free).

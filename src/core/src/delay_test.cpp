@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fan_out.hpp"
 #include "ppd/cells/dff.hpp"
 #include "ppd/util/error.hpp"
 
@@ -23,12 +24,18 @@ DelayTestCalibration calibrate_delay_test(const PathFactory& factory,
   PPD_REQUIRE(options.clock_guard >= 0.0 && options.clock_guard < 1.0,
               "clock guard must be in [0, 1)");
 
+  const auto delays = detail::measure_each(
+      static_cast<std::size_t>(options.samples),
+      [&](std::size_t s) {
+        mc::Rng rng = sample_rng(options.seed, s);
+        mc::GaussianVariationSource var(options.variation, rng);
+        PathInstance inst = make_instance(factory, /*fault_ohms=*/0.0, &var);
+        return path_delay(inst.path, options.input_rising, options.sim);
+      },
+      options.cancel);
   double worst = 0.0;
-  for (int s = 0; s < options.samples; ++s) {
-    mc::Rng rng = sample_rng(options.seed, static_cast<std::size_t>(s));
-    mc::GaussianVariationSource var(options.variation, rng);
-    PathInstance inst = make_instance(factory, /*fault_ohms=*/0.0, &var);
-    const auto d = path_delay(inst.path, options.input_rising, options.sim);
+  for (const detail::Measured& delay : delays) {
+    const auto d = delay.get();
     if (!d.has_value())
       throw NumericalError(
           "fault-free instance produced no output transition during delay "

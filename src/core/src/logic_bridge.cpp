@@ -81,9 +81,8 @@ logic::GateTiming calibrate_gate_timing(const cells::Process& process,
   // Width map from a pulse sweep through the single gate.
   std::vector<double> grid = options.w_grid;
   if (grid.empty()) grid = linspace(20e-12, 400e-12, 20);
-  cells::Path p = cells::build_path(process, po);
-  const TransferCurve curve =
-      transfer_function(p, PulseKind::kH, grid, options.sim);
+  const TransferCurve curve = transfer_function(
+      PathFactory{process, po, std::nullopt}, PulseKind::kH, grid, options.sim);
 
   // w_block: interpolated onset of propagation.
   std::size_t first_alive = grid.size();

@@ -1,9 +1,12 @@
 #include "ppd/core/measure.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
+#include "fan_out.hpp"
 #include "ppd/cache/solve_cache.hpp"
+#include "ppd/exec/parallel.hpp"
 #include "ppd/obs/metrics.hpp"
 #include "ppd/resil/faultplan.hpp"
 #include "ppd/spice/analysis.hpp"
@@ -180,22 +183,63 @@ std::optional<double> output_pulse_width(cells::Path& path, PulseKind kind,
   return width;
 }
 
-TransferCurve transfer_function(cells::Path& path, PulseKind kind,
+namespace detail {
+
+std::vector<Measured> measure_each(
+    std::size_t n, const std::function<std::optional<double>(std::size_t)>& measure,
+    const exec::CancelToken& cancel) {
+  exec::ParallelOptions par;
+  // A FaultScope lives on the calling thread only; its items stay there.
+  par.threads = resil::fault_injection_active() ? 1 : 0;
+  par.cancel = cancel;
+  return exec::parallel_map(
+      n,
+      [&measure](std::size_t i) {
+        Measured m;
+        try {
+          m.value = measure(i);
+        } catch (...) {
+          m.error = std::current_exception();
+        }
+        return m;
+      },
+      par);
+}
+
+}  // namespace detail
+
+TransferCurve transfer_function(const PathFactory& factory, PulseKind kind,
                                 const std::vector<double>& w_in_grid,
-                                const SimSettings& sim) {
+                                const SimSettings& sim,
+                                const exec::CancelToken& cancel) {
+  const auto measure = [&](std::size_t i) {
+    PathInstance nominal = make_instance(factory, 0.0, nullptr);
+    return output_pulse_width(nominal.path, kind, w_in_grid[i], sim);
+  };
+  // Point 0 stores the nominal operating point every later point
+  // warm-starts from (spice::run_op's cache); measured alone first, so no
+  // two points race to solve it cold and the solver counts stay exact.
+  const std::size_t n = w_in_grid.size();
+  std::vector<detail::Measured> points =
+      detail::measure_each(std::min<std::size_t>(n, 1), measure, cancel);
+  if (n > 1) {
+    const auto rest = detail::measure_each(
+        n - 1, [&](std::size_t i) { return measure(i + 1); }, cancel);
+    points.insert(points.end(), rest.begin(), rest.end());
+  }
+
   TransferCurve curve;
   curve.w_in = w_in_grid;
-  curve.w_out.reserve(w_in_grid.size());
-  curve.failed.reserve(w_in_grid.size());
-  for (double w : w_in_grid) {
+  curve.w_out.reserve(n);
+  curve.failed.reserve(n);
+  for (const detail::Measured& point : points) {
     // A dampened pulse (nullopt -> 0) is a physical result; a solver
     // failure is not. Conflating them used to record a diverged solve as
     // w_out = 0 — indistinguishable from perfect attenuation — so failures
     // now carry NaN plus an explicit flag and the curve stays usable for
     // the surviving points.
     try {
-      const auto out = output_pulse_width(path, kind, w, sim);
-      curve.w_out.push_back(out.value_or(0.0));
+      curve.w_out.push_back(point.get().value_or(0.0));
       curve.failed.push_back(0);
     } catch (const NumericalError&) {
       curve.w_out.push_back(std::numeric_limits<double>::quiet_NaN());

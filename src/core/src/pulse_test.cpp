@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "fan_out.hpp"
 #include "ppd/util/error.hpp"
 
 namespace ppd::core {
@@ -47,9 +48,8 @@ PulseTestCalibration calibrate_pulse_test(const PathFactory& factory,
   if (grid.empty()) grid = linspace(0.10e-9, 0.80e-9, 15);
 
   // Nominal characterization of f_p (Sect. 5 / Fig. 10).
-  PathInstance nominal = make_instance(factory, 0.0, nullptr);
-  const TransferCurve curve =
-      transfer_function(nominal.path, options.kind, grid, options.sim);
+  const TransferCurve curve = transfer_function(factory, options.kind, grid,
+                                                options.sim, options.cancel);
   const auto onset = asymptotic_onset(curve, options.slope_tolerance);
   if (!onset.has_value())
     throw NumericalError(
@@ -68,14 +68,22 @@ PulseTestCalibration calibrate_pulse_test(const PathFactory& factory,
   for (std::size_t c = *onset; c < grid.size(); ++c) {
     const double w_in = grid[c];
     const double w_in_worst = w_in * generator_derate;
+    const auto widths = detail::measure_each(
+        static_cast<std::size_t>(options.samples),
+        [&](std::size_t s) {
+          mc::Rng rng = sample_rng(options.seed, s);
+          mc::GaussianVariationSource var(options.variation, rng);
+          PathInstance inst = make_instance(factory, 0.0, &var);
+          return output_pulse_width(inst.path, options.kind, w_in_worst,
+                                    options.sim);
+        },
+        options.cancel);
+    // In sample order, as the serial loop: the first dampened sample ends
+    // the candidate, and what later samples threw is never seen.
     double min_w_out = std::numeric_limits<double>::infinity();
     bool all_propagate = true;
-    for (int s = 0; s < options.samples && all_propagate; ++s) {
-      mc::Rng rng = sample_rng(options.seed, static_cast<std::size_t>(s));
-      mc::GaussianVariationSource var(options.variation, rng);
-      PathInstance inst = make_instance(factory, 0.0, &var);
-      const auto w_out =
-          output_pulse_width(inst.path, options.kind, w_in_worst, options.sim);
+    for (const detail::Measured& width : widths) {
+      const auto w_out = width.get();
       if (!w_out.has_value()) {
         all_propagate = false;
         break;

@@ -296,9 +296,8 @@ double sweep_budget_left(const resil::Deadline& deadline, double budget) {
 QueryResult run_transfer(const QueryParams& p) {
   core::PathFactory f = path_factory(p, /*with_fault=*/false);
   const auto grid = core::linspace(p.w_lo, p.w_hi, p.points);
-  core::PathInstance inst = core::make_instance(f, 0.0, nullptr);
   const auto curve =
-      core::transfer_function(inst.path, core::PulseKind::kH, grid, {});
+      core::transfer_function(f, core::PulseKind::kH, grid, {}, p.cancel);
   util::Table t({"w_in_s", "w_out_s"});
   for (std::size_t i = 0; i < curve.w_in.size(); ++i)
     t.add_numeric_row({curve.w_in[i], curve.w_out[i]}, 5);
@@ -315,11 +314,13 @@ QueryResult run_calibrate(const QueryParams& p) {
   dopt.samples = p.samples;
   dopt.seed = p.seed;
   dopt.variation = model;
+  dopt.cancel = p.cancel;
   const auto dcal = core::calibrate_delay_test(f, dopt);
   core::PulseCalibrationOptions popt;
   popt.samples = p.samples;
   popt.seed = p.seed;
   popt.variation = model;
+  popt.cancel = p.cancel;
   const auto pcal = core::calibrate_pulse_test(f, popt);
 
   util::Table t({"parameter", "value_s"});
@@ -364,6 +365,7 @@ QueryResult run_coverage(const QueryParams& p) {
     dopt.samples = copt.samples;
     dopt.seed = copt.seed;
     dopt.variation = copt.variation;
+    dopt.cancel = p.cancel;
     const auto cal = core::calibrate_delay_test(f, dopt);
     copt.resil.sweep_budget_seconds = sweep_budget_left(deadline, p.sweep_budget);
     res = core::run_delay_coverage(f, cal, copt);
@@ -372,6 +374,7 @@ QueryResult run_coverage(const QueryParams& p) {
     popt.samples = copt.samples;
     popt.seed = copt.seed;
     popt.variation = copt.variation;
+    popt.cancel = p.cancel;
     const auto cal = core::calibrate_pulse_test(f, popt);
     copt.resil.sweep_budget_seconds = sweep_budget_left(deadline, p.sweep_budget);
     res = core::run_pulse_coverage(f, cal, copt);
@@ -408,6 +411,7 @@ QueryResult run_rmin(const QueryParams& p) {
   popt.samples = p.samples;
   popt.seed = p.seed;
   popt.variation = model;
+  popt.cancel = p.cancel;
   const auto cal = core::calibrate_pulse_test(f, popt);
 
   core::RminOptions ropt;

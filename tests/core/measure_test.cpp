@@ -164,13 +164,12 @@ TEST(TransferFunction, SolverFailureIsFlaggedNotZero) {
   // not record w_out = 0, which means "perfectly dampened pulse".
   const PathFactory f = small_factory();
   SimSettings sim;
-  PathInstance inst = make_instance(f, 0.0, nullptr);
   resil::FaultPlan plan;
   plan.seed = 1;
   plan.p_newton_nonconverge = 1.0;
   const resil::FaultScope scope(plan, 0);
   const auto grid = linspace(0.2e-9, 0.4e-9, 3);
-  const TransferCurve c = transfer_function(inst.path, PulseKind::kH, grid, sim);
+  const TransferCurve c = transfer_function(f, PulseKind::kH, grid, sim);
   ASSERT_EQ(c.w_out.size(), grid.size());
   ASSERT_EQ(c.failed.size(), grid.size());
   EXPECT_EQ(c.n_failed, grid.size());
@@ -184,9 +183,8 @@ TEST(TransferFunction, HasThreeRegions) {
   // Fig. 10 structure: zeros, then a sub-linear climb, then slope ~1.
   const PathFactory f = small_factory(7);
   SimSettings sim;
-  PathInstance inst = make_instance(f, 0.0, nullptr);
   const auto grid = linspace(0.06e-9, 0.6e-9, 12);
-  const TransferCurve c = transfer_function(inst.path, PulseKind::kH, grid, sim);
+  const TransferCurve c = transfer_function(f, PulseKind::kH, grid, sim);
   ASSERT_EQ(c.w_out.size(), grid.size());
   ASSERT_EQ(c.failed.size(), grid.size());
   EXPECT_EQ(c.n_failed, 0u);                // healthy path: no failed solves

@@ -39,16 +39,6 @@ std::size_t count_code(const Report& report, const std::string& code) {
   return n;
 }
 
-/// The bundled netlists live in data/; the test may run from the build tree.
-std::string find_data(const std::string& name) {
-  for (const char* prefix : {"data/", "../data/", "../../data/", "../../../data/"}) {
-    const std::string cand = prefix + name;
-    std::ifstream probe(cand);
-    if (probe) return cand;
-  }
-  return {};
-}
-
 // ------------------------------------------------------------- diagnostics
 
 TEST(Diagnostics, SeverityNamesRoundTrip) {
@@ -253,9 +243,8 @@ TEST(BenchLint, CleanNetlistHasNoFindings) {
 
 TEST(BenchLint, BundledNetlistsLintClean) {
   for (const char* name : {"c17.bench", "c432_class.bench"}) {
-    const std::string path = find_data(name);
-    if (path.empty()) GTEST_SKIP() << "data/ not reachable from cwd";
-    const Report r = lint::lint_bench_file(path);
+    const Report r =
+        lint::lint_bench_file(std::string(PPD_SOURCE_DIR) + "/data/" + name);
     EXPECT_EQ(r.count(Severity::kError), 0u) << name << "\n" << to_text(r);
     EXPECT_EQ(r.count(Severity::kWarning), 0u) << name << "\n" << to_text(r);
   }

@@ -27,22 +27,13 @@ TEST(BenchFile, MissingFileThrows) {
                ParseError);
 }
 
+/// A netlist bundled in data/ of the source tree.
+std::string bundled(const std::string& name) {
+  return std::string(PPD_SOURCE_DIR) + "/data/" + name;
+}
+
 TEST(BenchFile, BundledC17MatchesBuiltin) {
-  // The repository ships data/c17.bench; when the test runs from the build
-  // tree the file sits at ../data or ../../data — search a few candidates
-  // and skip gracefully if the tree layout is unusual.
-  Netlist from_file;
-  bool found = false;
-  for (const char* cand : {"data/c17.bench", "../data/c17.bench",
-                           "../../data/c17.bench", "../../../data/c17.bench"}) {
-    std::ifstream probe(cand);
-    if (probe) {
-      from_file = load_bench_file(cand);
-      found = true;
-      break;
-    }
-  }
-  if (!found) GTEST_SKIP() << "data/c17.bench not reachable from cwd";
+  const Netlist from_file = load_bench_file(bundled("c17.bench"));
   const Netlist builtin = c17();
   EXPECT_EQ(from_file.gate_count(), builtin.gate_count());
   for (unsigned m = 0; m < 32; ++m) {
@@ -56,19 +47,7 @@ TEST(BenchFile, BundledC17MatchesBuiltin) {
 }
 
 TEST(BenchFile, BundledC432ClassParses) {
-  Netlist nl;
-  bool found = false;
-  for (const char* cand :
-       {"data/c432_class.bench", "../data/c432_class.bench",
-        "../../data/c432_class.bench", "../../../data/c432_class.bench"}) {
-    std::ifstream probe(cand);
-    if (probe) {
-      nl = load_bench_file(cand);
-      found = true;
-      break;
-    }
-  }
-  if (!found) GTEST_SKIP() << "data/c432_class.bench not reachable from cwd";
+  const Netlist nl = load_bench_file(bundled("c432_class.bench"));
   EXPECT_EQ(nl.inputs().size(), 36u);
   EXPECT_EQ(nl.gate_count(), 160u);
   // Functionally identical to the in-process generator with the default

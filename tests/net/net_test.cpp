@@ -179,6 +179,25 @@ TEST(Query, SweepBudgetCoversCalibration) {
   }
 }
 
+TEST(Query, FiredTokenCancelsBeforeAnyTransient) {
+  // The query's token reaches calibration and the nominal curve, so a
+  // query whose token has fired (Server::drain fires them) stops before
+  // simulating.
+  const obs::Counter& runs = obs::counter("spice.transient.runs");
+  for (const QueryKind kind : {QueryKind::kTransfer, QueryKind::kCalibrate,
+                               QueryKind::kCoverage, QueryKind::kRmin}) {
+    QueryParams params = params_from_lookup(
+        kind, [](const std::string&) -> std::optional<std::string> {
+          return std::nullopt;
+        });
+    params.cancel.cancel();
+    const std::uint64_t before = runs.value();
+    EXPECT_THROW((void)run_query(kind, params), exec::CancelledError)
+        << query_kind_name(kind);
+    EXPECT_EQ(runs.value(), before) << query_kind_name(kind);
+  }
+}
+
 TEST(Query, StaJsonQuotesNetlistAndNetNames) {
   // The .bench grammar accepts '"' and '\\' in net names; the JSON screen
   // must quote them, and the netlist name, so the body stays valid JSON.

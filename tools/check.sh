@@ -18,13 +18,15 @@ cmake --build "$build" -j "$(nproc)"
 echo "== ctest =="
 ctest --test-dir "$build" --output-on-failure
 
-echo "== flake stage (service, guarded-sweep and exec suites x30) =="
+echo "== flake stage (service, guarded-sweep, exec and calibration suites x30) =="
 # The timing-sensitive suites must pass every time, run alone: a test that
 # fails one run in thirty is a bug, not noise. They use watchdogs,
 # cancellation and the guarded sweep driver (resil::run_guarded_sweep),
-# or the exec scheduler underneath them.
+# or the exec scheduler underneath them. CalibrationThreads compares the
+# solver work of repeated pool-wide calibrations, which a warm-start race
+# would make vary from run to run.
 ctest --test-dir "$build" --output-on-failure --repeat until-fail:30 \
-  -R '^(ServiceOverload|Chaos|Recovery|CoverageResilience|FaultSimResilience|RminResilience|ParallelFor|ParallelMap|ResolveThreads|ThreadPool)'
+  -R '^(ServiceOverload|Chaos|Recovery|CoverageResilience|FaultSimResilience|RminResilience|ParallelFor|ParallelMap|ResolveThreads|ThreadPool|CalibrationThreads)'
 
 echo "== ppdtool lint over data/ =="
 for f in "$repo"/data/*.bench; do
@@ -373,9 +375,11 @@ for san in thread undefined; do
   # The frozen engine running one transient per sample while MC samples
   # fan out over the exec pool (4 threads), checked against the unfrozen
   # oracle — the shared-nothing-per-transient claim under the race detector
-  # (and UBSan for the bit-punning change tracking).
-  echo "-- $san: test_core (frozen engine)"
-  "$sbuild/tests/test_core" --gtest_filter='FrozenCoverage.*' --gtest_brief=1
+  # (and UBSan for the bit-punning change tracking) — and the calibrations
+  # fanned out at the pool's width, against their serial runs.
+  echo "-- $san: test_core (frozen engine, calibration fan-out)"
+  "$sbuild/tests/test_core" \
+    --gtest_filter='FrozenCoverage.*:CalibrationThreads.*' --gtest_brief=1
 done
 
 if command -v clang-tidy >/dev/null 2>&1; then
